@@ -8,9 +8,9 @@ asserts the resubmission is **>= 5x faster wall-clock** with bit-identical
 results: a warm hit returns the stored record verbatim, provenance-checked
 (schema + spec hash + content digest) on load.
 
-The cold/warm ratio is the served-trials-per-second capacity story of the
-sweep service (``repro serve``): concurrent clients resubmitting
-overlapping grids cost one disk read per trial, not one simulation.
+The cold/warm ratio is what ``repro sweep --cache`` buys: resubmitting
+an overlapping grid costs one disk read per cached trial, not one
+simulation.
 
 Emits ``BENCH_sweep_cache.json`` (plus a ``history.jsonl`` record); CI
 runs this as a smoke and enforces the bar (see
@@ -80,5 +80,5 @@ def test_sweep_cache_resubmission_speedup(benchmark, tmp_path):
             "cache": store.stats(),
         },
     )
-    # The acceptance bar of the sweep-service PR.
+    # The acceptance bar of the trial store.
     assert speedup >= MIN_SPEEDUP, (cold_wall, warm_wall)

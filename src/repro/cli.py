@@ -1,22 +1,25 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Rebuilt on the scenario registry (``repro.experiments``): the generic
-commands are *generated* from the registered scenarios —
+One verb per job, generated from the scenario registry
+(``repro.experiments``):
 
 * ``list`` / ``describe`` — browse the scenario catalogue (``--format md``
   regenerates ``EXPERIMENTS.md``);
 * ``run <scenario>`` — execute one declarative spec; every scenario gets
   ``--seed`` and ``--json`` (plus ``--scheduler`` where the workload is
   scheduler-driven; deterministic scenarios record that in their spec);
+  the human output prints every metric and every ASCII render;
 * ``sweep <scenario>`` — a grid over comma-separated param values ×
   ``--seeds`` trials, fanned out over ``--workers`` processes with
   deterministic per-trial seed derivation (bit-identical results for any
-  worker count);
+  worker count); ``--cache`` serves repeated trials from the
+  content-addressed trial store;
 * ``validate`` — check emitted JSON (and NDJSON streaming traces)
   against the known schemas;
 * ``record <scenario>`` — run one spec under the streaming trace writer
   (``repro.trace/v1``: header snapshot, delta-encoded events, periodic
-  checkpoints, digest hash chain);
+  checkpoints, digest hash chain); ``--render`` also draws the run live
+  as it records;
 * ``replay <trace>`` — reconstruct any intermediate world bit-exactly
   (``--to-event N`` seeks from the nearest checkpoint anchor;
   ``--verify`` recomputes every digest it passes);
@@ -26,22 +29,12 @@ commands are *generated* from the registered scenarios —
   from a's header identity;
 * ``goldens record|check|list`` — the committed golden-trace regression
   set under ``tests/goldens/`` (replay bit-exactly + diff against a
-  fresh run of the current code).
+  fresh run of the current code);
+* ``analyze`` / ``lint`` — static protocol analysis and the determinism
+  linter; ``inspect`` prints one protocol's rule table.
 
-The sweep-service commands share the same declarative sweep form:
-``serve`` runs the long-running daemon (persistent FIFO job queue,
-content-addressed trial cache, process-pool fan-out), ``submit`` queues a
-sweep (``--wait`` streams NDJSON progress; ``--trace`` additionally
-streams per-event ``repro.trace/v1`` records, rendered live with
-``--render``), ``status`` inspects the queue, and ``fetch`` retrieves a
-finished job's results payload. The same
-trial cache backs ``sweep --cache`` in-process, no daemon needed.
-
-The historical subcommands (``demo``, ``count``, ``construct``,
-``pattern``, ``cube``, ``replicate``, ``repair``) remain as aliases onto
-the same registry and print byte-identical seeded output; ``inspect``
-stays a plain introspection command. Results render as the ASCII analogues
-of the paper's figures, or as schema-validated JSON with ``--json``.
+Results render as the ASCII analogues of the paper's figures, or as
+schema-validated JSON with ``--json``.
 """
 
 from __future__ import annotations
@@ -70,7 +63,6 @@ from repro.experiments import (
 )
 from repro.experiments.io import results_payload
 from repro.experiments.store import TrialStore
-from repro.machines.shape_programs import PATTERN_CATALOGUE, SHAPE_CATALOGUE
 from repro.protocols.line import simple_line_protocol, spanning_line_protocol
 from repro.protocols.replication import (
     line_replication_protocol,
@@ -82,12 +74,6 @@ from repro.protocols.square2 import square2_protocol
 
 #: Scheduler kinds selectable from the command line (see ``make_scheduler``).
 SCHEDULERS = ("hot", "enumerate", "rejection", "round-robin")
-
-#: The shape catalogue exposed by ``construct`` (shared with the registry).
-SHAPES = SHAPE_CATALOGUE
-
-#: The pattern catalogue exposed by ``pattern`` (shared with the registry).
-PATTERNS = PATTERN_CATALOGUE
 
 #: The rule-table protocols exposed by ``inspect``.
 PROTOCOLS: Dict[str, Callable[[], object]] = {
@@ -106,12 +92,8 @@ PROTOCOLS: Dict[str, Callable[[], object]] = {
 # ----------------------------------------------------------------------
 
 
-def _emit_result(
-    result: ExperimentResult,
-    json_target: Optional[str],
-    human: Optional[Callable[[ExperimentResult], None]] = None,
-) -> int:
-    """Print ``result`` as JSON (``--json [PATH]``) or via ``human``."""
+def _emit_result(result: ExperimentResult, json_target: Optional[str]) -> int:
+    """Print ``result`` as JSON (``--json [PATH]``) or as human text."""
     if json_target is not None:
         if json_target == "-":
             print(result.to_json(indent=2))
@@ -119,10 +101,7 @@ def _emit_result(
             with open(json_target, "w") as fh:
                 fh.write(result.to_json(indent=2) + "\n")
         return 0
-    if human is not None:
-        human(result)
-    else:
-        _print_generic(result)
+    _print_generic(result)
     return 0
 
 
@@ -217,25 +196,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _emit_result(run_experiment(spec), args.json)
 
 
-def _sweep_from_args(args: argparse.Namespace, scn) -> SweepSpec:
-    """The declarative sweep shared by ``sweep`` and ``submit``."""
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    scn = get_scenario(args.scenario)
     grid = {}
     for p in scn.params:
         raw = getattr(args, f"param_{p.name}")
         if raw is not None:
             grid[p.name] = [p.convert(tok) for tok in raw.split(",") if tok]
-    return SweepSpec(
+    sweep = SweepSpec(
         scenario=scn.name,
         grid=grid,
         trials=args.seeds,
         base_seed=args.base_seed,
         scheduler=getattr(args, "scheduler", None),
     )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    scn = get_scenario(args.scenario)
-    sweep = _sweep_from_args(args, scn)
     store = None
     if args.cache or args.cache_dir is not None:
         store = TrialStore(args.cache_dir)
@@ -347,6 +321,11 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     scn = get_scenario(args.scenario)
     out = args.out if args.out is not None else f"{scn.name}.trace"
+    sink = None
+    if args.render:
+        from repro.viz.live import LiveTraceView
+
+        sink = LiveTraceView().feed
     result, writer = record_scenario(
         scn.name,
         params=_param_overrides(args, scn),
@@ -355,6 +334,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         path=out,
         run_index=args.run,
         checkpoint_every=args.checkpoint_every,
+        sink=sink,
     )
     print(
         f"recorded {writer.events} events "
@@ -566,300 +546,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-# ----------------------------------------------------------------------
-# Sweep-service commands (repro serve / submit / status / fetch)
-# ----------------------------------------------------------------------
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.service import ServiceClient, SweepService
-
-    if args.stop:
-        ServiceClient(state_dir=args.state_dir).shutdown()
-        print("sweep service stopping")
-        return 0
-    store = TrialStore(args.cache_dir) if args.cache_dir is not None else None
-    service = SweepService(
-        state_dir=args.state_dir,
-        port=args.port,
-        workers=args.workers,
-        store=store,
-    )
-
-    def on_ready(svc: SweepService) -> None:
-        print(
-            f"sweep service listening on {svc.host}:{svc.bound_port} "
-            f"(state dir {svc.state_dir}, trial store {svc.store.root}, "
-            f"{svc.workers} workers)",
-            flush=True,
-        )
-
-    try:
-        service.run(on_ready)
-    except KeyboardInterrupt:
-        pass  # queued jobs stay journalled; a restart resumes them
-    return 0
-
-
-def _print_progress(event: Dict) -> None:
-    if event.get("event") == "trial":
-        tag = "cached" if event.get("cached") else "computed"
-        print(f"  trial {event['index']}: {tag} (seed {event.get('seed')})")
-    elif event.get("event") == "job":
-        print(f"job {event.get('id')}: {event.get('status')}")
-
-
-def _trace_stream_handler(args: argparse.Namespace, out_fh):
-    """The ``submit --trace --wait`` event handler: forward trace records.
-
-    Non-trace progress lines go through :func:`_print_progress` (unless
-    ``--quiet``); every streamed ``repro.trace/v1`` record is appended to
-    ``--trace-out`` (canonical encoding, byte-identical to a writer-side
-    file for single-trial jobs) and fed to the live ASCII view when
-    ``--render`` is set.
-    """
-    from repro.trace.encoding import encode_line
-    from repro.viz.live import LiveTraceView
-
-    view = LiveTraceView() if args.render else None
-
-    def on_event(event: Dict) -> None:
-        if event.get("event") != "trace":
-            if not args.quiet:
-                _print_progress(event)
-            return
-        record = event["record"]
-        if out_fh is not None:
-            out_fh.write(encode_line(record))
-        if view is not None:
-            view.feed(record)
-
-    return on_event
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.experiments.service import ServiceClient
-
-    scn = get_scenario(args.scenario)
-    sweep = _sweep_from_args(args, scn)
-    client = ServiceClient(state_dir=args.state_dir)
-    on_event = None if args.quiet else _print_progress
-    out_fh = None
-    try:
-        if args.trace and args.wait:
-            if args.trace_out is not None:
-                out_fh = open(args.trace_out, "wb")
-            on_event = _trace_stream_handler(args, out_fh)
-        final = client.submit(
-            sweep,
-            workers=args.workers,
-            wait=args.wait,
-            on_event=on_event,
-            trace=args.trace,
-        )
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-    if args.wait:
-        print(
-            f"job {final['id']}: {final['status']}, {final['total']} trials, "
-            f"cache hits {final['hits']}/{final['total']} "
-            f"(misses {final['misses']})"
-        )
-        return 0 if final["status"] == "done" else 1
-    print(
-        f"submitted {final['id']} ({final['total']} trials, "
-        f"queue position {final['position']})"
-    )
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.experiments.service import ServiceClient
-
-    client = ServiceClient(state_dir=args.state_dir)
-    final = client.status(args.job_id)
-    jobs = [final["job"]] if args.job_id is not None else final["jobs"]
-    if args.json is not None:
-        text = json.dumps(jobs, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-        return 0
-    if not jobs:
-        print("no jobs")
-        return 0
-    for job in jobs:
-        line = (
-            f"{job['id']}  {job['status']:<8} {job['scenario'] or '?':<16} "
-            f"{job['completed']}/{job['total']} trials, "
-            f"hits {job['hits']}, misses {job['misses']}"
-        )
-        if job.get("error"):
-            line += f"  [{job['error']}]"
-        print(line)
-    store = final.get("store")
-    if args.job_id is None and store is not None:
-        print(
-            f"trial store: {store['hits']} hits, {store['misses']} misses, "
-            f"{store['rejected']} rejected"
-        )
-    return 0
-
-
-def _cmd_fetch(args: argparse.Namespace) -> int:
-    from repro.experiments.service import ServiceClient
-
-    client = ServiceClient(state_dir=args.state_dir)
-    payload = client.fetch(args.job_id)
-    if args.json is not None and args.json != "-":
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Historical commands — aliases onto the registry
-# ----------------------------------------------------------------------
-
-
-def _run_alias(args: argparse.Namespace, scenario: str, params: Dict) -> ExperimentResult:
-    return run_experiment(
-        ExperimentSpec(
-            scenario=scenario,
-            params=params,
-            seed=getattr(args, "seed", None),
-            scheduler=getattr(args, "scheduler", None),
-        )
-    )
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    result = _run_alias(args, "demo", {"n": args.n})
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"spanning line on {m['n']} nodes: "
-            f"{m['line_events']} effective interactions"
-        )
-        print(res.renders["line"])
-        print(
-            f"\n{m['side']}x{m['side']} square on {m['square_n']} nodes: "
-            f"{m['square_events']} effective interactions"
-        )
-        print(res.renders["square"])
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_count(args: argparse.Namespace) -> int:
-    result = _run_alias(
-        args,
-        "counting",
-        {"n": args.n, "b": args.head_start, "trials": args.trials},
-    )
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        mean = m["mean_estimate"]
-        print(
-            f"counting n = {m['n']} (b = {m['b']}, {m['trials']} trials): "
-            f"mean estimate {mean:.1f} ({mean / m['n']:.2%} of n), "
-            f"success rate {m['successes']}/{m['trials']}"
-        )
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    result = _run_alias(args, "shape", {"shape": args.shape, "d": args.d})
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"constructed {m['shape']!r} on a {m['d']}x{m['d']} square: "
-            f"{m['useful_space']} on-cells, waste {m['waste']}, "
-            f"{m['interactions']} interactions"
-        )
-        print(res.renders["shape"])
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_pattern(args: argparse.Namespace) -> int:
-    result = _run_alias(args, "pattern", {"pattern": args.pattern, "d": args.d})
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"pattern {m['pattern']!r} on a {m['d']}x{m['d']} square "
-            f"({m['colors']} colors, {m['interactions']} interactions)"
-        )
-        print(res.renders["pattern"])
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_cube(args: argparse.Namespace) -> int:
-    result = _run_alias(args, "cube", {"m": args.m})
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"{m['m']}x{m['m']}x{m['m']} cube on {m['n']} nodes: "
-            f"{m['scheduler_events']} scheduler events, "
-            f"{m['leader_interactions']} leader interactions"
-        )
-        print(res.renders["cube"])
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    result = _run_alias(
-        args, "replicate", {"size": args.size, "approach": args.approach}
-    )
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"replicated a random {m['size']}-cell shape by {m['approach']}: "
-            f"{m['interactions']} interactions, waste {m['waste']}, "
-            f"identical: {m['identical']}"
-        )
-        print("original:")
-        print(res.renders["original"])
-        print("replica:")
-        print(res.renders["replica"])
-
-    return _emit_result(result, args.json, human)
-
-
-def _cmd_repair(args: argparse.Namespace) -> int:
-    result = _run_alias(
-        args, "repair", {"d": args.d, "fraction": args.fraction}
-    )
-
-    def human(res: ExperimentResult) -> None:
-        m = res.metrics
-        print(
-            f"star on a {m['d']}x{m['d']} square: detached {m['detached']} cells, "
-            f"repaired in {m['interactions']} interactions "
-            f"({m['nodes_attached']} re-attached, {m['bonds_restored']} bonds)"
-        )
-        print("damaged:")
-        print(res.renders["damaged"])
-        print("repaired:")
-        print(res.renders["repaired"])
-
-    return _emit_result(result, args.json, human)
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     protocol = PROTOCOLS[args.protocol]()
     print(format_protocol(protocol))
@@ -907,10 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="declarative grid × seeds sweep (parallel workers)"
     )
     sweep_sub = sweep_parser.add_subparsers(dest="scenario", required=True)
-    submit_parser = sub.add_parser(
-        "submit", help="queue a sweep on the running sweep service"
-    )
-    submit_sub = submit_parser.add_subparsers(dest="scenario", required=True)
     record_parser = sub.add_parser(
         "record",
         help="run one scenario under the streaming repro.trace/v1 writer",
@@ -953,28 +635,32 @@ def build_parser() -> argparse.ArgumentParser:
             "--verify", action="store_true",
             help="replay the finished trace and recompute every digest",
         )
+        p.add_argument(
+            "--render", action="store_true",
+            help=(
+                "draw the run live as it records (an ASCII frame per "
+                "checkpoint and at the end)"
+            ),
+        )
         p.set_defaults(func=_cmd_record)
 
-        def _add_sweep_grid_flags(p, scn=scn):
-            for prm in scn.params:
-                p.add_argument(
-                    f"--{prm.name.replace('_', '-')}",
-                    dest=f"param_{prm.name}",
-                    type=str,
-                    default=None,
-                    metavar="V[,V...]",
-                    help=f"values to sweep for {prm.name} (default {prm.default!r})",
-                )
-            p.add_argument(
-                "--seeds", type=int, default=1,
-                help="trials per grid point (seeds derived deterministically)",
-            )
-            p.add_argument("--base-seed", type=int, default=0)
-            if scn.schedulable:
-                p.add_argument("--scheduler", choices=SCHEDULERS, default=None)
-
         p = sweep_sub.add_parser(scn.name, help=scn.summary)
-        _add_sweep_grid_flags(p)
+        for prm in scn.params:
+            p.add_argument(
+                f"--{prm.name.replace('_', '-')}",
+                dest=f"param_{prm.name}",
+                type=str,
+                default=None,
+                metavar="V[,V...]",
+                help=f"values to sweep for {prm.name} (default {prm.default!r})",
+            )
+        p.add_argument(
+            "--seeds", type=int, default=1,
+            help="trials per grid point (seeds derived deterministically)",
+        )
+        p.add_argument("--base-seed", type=int, default=0)
+        if scn.schedulable:
+            p.add_argument("--scheduler", choices=SCHEDULERS, default=None)
         p.add_argument(
             "--workers", type=int, default=1,
             help="process fan-out; results are identical for any count",
@@ -992,41 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _add_json_flag(p)
         p.set_defaults(func=_cmd_sweep)
-
-        p = submit_sub.add_parser(scn.name, help=scn.summary)
-        _add_sweep_grid_flags(p)
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="per-job process fan-out (default: the service's setting)",
-        )
-        p.add_argument(
-            "--wait", action="store_true",
-            help="stream per-trial progress and block until the job finishes",
-        )
-        p.add_argument("--quiet", action="store_true", help="no progress lines")
-        p.add_argument(
-            "--state-dir", default=None, metavar="PATH",
-            help="service state directory (default ~/.cache/repro/service)",
-        )
-        p.add_argument(
-            "--trace", action="store_true",
-            help=(
-                "stream per-event repro.trace/v1 records (uncached trials "
-                "run sequentially under a recording)"
-            ),
-        )
-        p.add_argument(
-            "--render", action="store_true",
-            help="with --trace --wait: live ASCII view of the streamed run",
-        )
-        p.add_argument(
-            "--trace-out", default=None, metavar="PATH",
-            help=(
-                "with --trace --wait: append every streamed record to PATH "
-                "(a valid trace file for single-trial jobs)"
-            ),
-        )
-        p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser(
         "validate",
@@ -1144,116 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(p)
     p.set_defaults(func=_cmd_lint)
-
-    # --- sweep service ------------------------------------------------
-    p = sub.add_parser(
-        "serve",
-        help=(
-            "run the sweep service: persistent FIFO job queue, "
-            "content-addressed trial cache, process-pool fan-out"
-        ),
-    )
-    p.add_argument(
-        "--state-dir", default=None, metavar="PATH",
-        help="journal/port/results directory (default ~/.cache/repro/service)",
-    )
-    p.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port on 127.0.0.1 (0 = ephemeral, written to the port file)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2,
-        help="default process fan-out for uncached trials",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="trial-store root (default ~/.cache/repro/trials)",
-    )
-    p.add_argument(
-        "--stop", action="store_true",
-        help="shut down the running service instead of starting one",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("status", help="list the sweep service's jobs")
-    p.add_argument("job_id", nargs="?", default=None, metavar="JOB")
-    p.add_argument("--state-dir", default=None, metavar="PATH")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser(
-        "fetch", help="retrieve a finished job's results payload"
-    )
-    p.add_argument("job_id", metavar="JOB")
-    p.add_argument("--state-dir", default=None, metavar="PATH")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_fetch)
-
-    # --- historical commands (registry aliases) ----------------------
-    p = sub.add_parser("demo", help="quickstart: spanning line + square")
-    p.add_argument("-n", type=int, default=10, help="population size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default=None,
-        help=(
-            "uniform-scheduler implementation (all produce identical seeded "
-            "trajectories) or the deterministic fair round-robin adversary"
-        ),
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser("count", help="Theorem 1 terminating counting")
-    p.add_argument("n", type=int, help="population size")
-    p.add_argument("-b", "--head-start", type=int, default=4)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("construct", help="Theorem 4 universal construction")
-    p.add_argument("shape", choices=sorted(SHAPES))
-    p.add_argument("-d", type=int, default=9, help="square dimension")
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="recorded in the result (the construction is deterministic)",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("pattern", help="Remark 4 pattern construction")
-    p.add_argument("pattern", choices=sorted(PATTERNS))
-    p.add_argument("-d", type=int, default=8, help="square dimension")
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="recorded in the result (the construction is deterministic)",
-    )
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_pattern)
-
-    p = sub.add_parser("cube", help="3D Cube-Knowing-n")
-    p.add_argument("-m", type=int, default=3, help="cube side (>= 3)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_cube)
-
-    p = sub.add_parser("replicate", help="§7 shape self-replication")
-    p.add_argument("--size", type=int, default=12, help="cells in the shape")
-    p.add_argument(
-        "--approach", choices=("shifting", "columns"), default="shifting"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_replicate)
-
-    p = sub.add_parser("repair", help="§8 damage-and-repair scenario")
-    p.add_argument("-d", type=int, default=9, help="square dimension")
-    p.add_argument("--fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_repair)
 
     p = sub.add_parser(
         "inspect", help="print a protocol's rule table (paper notation)"

@@ -13,10 +13,7 @@ One composable front door for every workload the library can run:
   ``cache=`` trial-store seam);
 * :mod:`repro.experiments.store` — the content-addressed trial store:
   results keyed by the SHA-256 trial identity, provenance-verified on
-  load, shared by ``run_sweep(cache=...)`` and the sweep service;
-* :mod:`repro.experiments.service` — the long-running sweep daemon
-  (``repro serve``) with its persistent job queue and NDJSON-streaming
-  clients (imported on demand, not re-exported here);
+  load, behind ``run_sweep(cache=...)`` (``repro sweep --cache``);
 * :mod:`repro.experiments.io` — shared JSON writers/validators, the
   benchmark history appender, and the scenario index behind
   ``repro list`` and ``EXPERIMENTS.md``.

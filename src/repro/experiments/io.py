@@ -319,9 +319,8 @@ def format_scenario_list(fmt: str = "text") -> str:
             "`repro sweep <name>`; `repro describe <name>` prints the full",
             "parameter schema. `repro sweep --cache` serves repeated trials",
             "from the content-addressed trial store (provenance-verified on",
-            "load), and the same store backs the long-running sweep service:",
-            "`repro serve` + `repro submit / status / fetch`. Any run records",
-            "to a streaming trace (`repro record <name>`), replays bit-exactly",
+            "load). Any run records to a streaming trace (`repro record",
+            "<name>`, drawn live with `--render`), replays bit-exactly",
             "(`repro replay`), and diffs against another trace or a live",
             "re-simulation to the first diverging event (`repro diff`); the",
             "committed golden set replays under `repro goldens check`.",

@@ -14,9 +14,7 @@ serial and a parallel run.
 (:mod:`repro.experiments.store`) through the same seam: cached trials are
 served from disk (provenance-verified on load, zero RNG consumed, the
 scenario adapter never runs) and only the misses reach the pool, which is
-sized to the miss count. The long-running sweep service
-(:mod:`repro.experiments.service`) reuses both this worker function and
-the store, so daemon and in-process sweeps share one cache.
+sized to the miss count.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ def _sweep_worker(payload: Dict) -> Dict:
     return run_experiment(spec).to_dict()
 
 
-def spec_payload(spec: ExperimentSpec) -> Dict:
+def _spec_payload(spec: ExperimentSpec) -> Dict:
     """The picklable dict form of a resolved spec (pool boundary shape)."""
     return {
         "scenario": spec.scenario,
@@ -98,7 +96,7 @@ def _run_specs(specs: List[ExperimentSpec], workers: int) -> List[ExperimentResu
         return [run_experiment(spec) for spec in specs]
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         # map() preserves submission order regardless of completion order.
-        dicts = list(pool.map(_sweep_worker, [spec_payload(s) for s in specs]))
+        dicts = list(pool.map(_sweep_worker, [_spec_payload(s) for s in specs]))
     return [ExperimentResult.from_dict(d) for d in dicts]
 
 

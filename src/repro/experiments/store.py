@@ -7,8 +7,8 @@ SHA-256 of ``(base_seed, scenario, params, trial)``, and results are
 identical for any worker count). Recomputing an identical trial is
 therefore pure waste: :class:`TrialStore` keys stored results by the
 SHA-256 of that identity (:func:`trial_key`) and serves them back on
-resubmission, so ``run_sweep(cache=...)`` and the sweep service skip the
-process pool entirely for cached trials.
+resubmission, so ``run_sweep(cache=...)`` skips the process pool
+entirely for cached trials.
 
 Records follow the sign-then-validate-on-load idiom: each JSON file
 carries a provenance stamp — the store schema version, the spec hash
@@ -45,8 +45,8 @@ TRIAL_SCHEMA = "repro.experiments.trial/v1"
 
 
 def default_cache_root() -> Path:
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro`` — shared by the trial
-    store (``trials/``) and the sweep service state (``service/``)."""
+    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; the trial store keeps
+    its records under ``trials/``."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return Path(env).expanduser()
@@ -95,7 +95,7 @@ class TrialStore:
     """Filesystem-backed content-addressed cache of trial results.
 
     ``get``/``put`` take *resolved* :class:`ExperimentSpec` objects (the
-    runner and the service only ever hold resolved specs). Counters:
+    runner only ever holds resolved specs). Counters:
     ``hits`` (served from store), ``misses`` (no record), ``rejected``
     (record present but failed provenance verification — also counted as
     a miss, since the trial gets recomputed).

@@ -1,9 +1,9 @@
 """Scenario adapter for the §8 damage-and-repair workload (``repro.faults``).
 
 Registered into ``repro.experiments.registry``; see that module for the
-adapter contract. Mirrors the historical ``repro repair`` command: build
-the star blueprint, detach a connected region, then reconstruct it from
-the surviving part — detachment and repair share one seeded RNG stream.
+adapter contract. ``repro run repair`` builds the star blueprint,
+detaches a connected region, then reconstructs it from the surviving
+part — detachment and repair share one seeded RNG stream.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Scenario adapters for the §5 counting suite (``repro.population``).
 
 Registered into ``repro.experiments.registry``; see that module for the
-adapter contract. The ``counting`` scenario preserves the historical CLI
-semantics exactly: ``trials`` independent executions whose per-trial seeds
+adapter contract. The ``counting`` scenario runs ``trials`` independent
+executions whose per-trial seeds
 are drawn from one ``random.Random(seed)`` stream, aggregated into mean
 estimate and success rate.
 """

@@ -2,7 +2,7 @@
 
 Registered into ``repro.experiments.registry``; see that module for the
 adapter contract. Both scenarios grow a random connected polyomino from
-the trial seed, exactly like the historical ``repro replicate`` command.
+the trial seed.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ verifiable NDJSON artifact in the versioned ``repro.trace/v1`` encoding.
 
 CLI: ``repro record <scenario>``, ``repro replay <trace> [--to-event N]
 [--render] [--verify]``, ``repro diff <a> [<b> | --live]``, and ``repro
-goldens record|check|list``; the sweep service streams the same records
-live with ``repro submit --trace --wait``.
+goldens record|check|list``; ``repro record --render`` draws the records
+live as they are written.
 """
 
 from repro.trace.diff import (

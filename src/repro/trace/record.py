@@ -8,9 +8,11 @@ context the observer list is empty and untraced runs pay nothing — seeded
 trajectories stay bit-identical to unrecorded executions, because the
 writer only *observes* applied events and never touches the RNG.
 
-:func:`record_scenario` is the high-level entry behind ``repro record`` and
-the sweep service's ``--trace`` mode: run one registered scenario spec
-under a recording and finalize the trace.
+:func:`record_scenario` is the high-level entry behind ``repro record``:
+run one registered scenario spec under a recording and finalize the
+trace, optionally streaming every record to a ``sink`` as it is written
+(``repro record --render`` passes :meth:`LiveTraceView.feed
+<repro.viz.live.LiveTraceView.feed>`).
 """
 
 from __future__ import annotations

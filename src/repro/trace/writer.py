@@ -2,12 +2,13 @@
 
 The writer holds no event buffer — each record is canonically serialized,
 folded into the hash chain, appended to the on-disk tempfile, and handed to
-the optional ``sink`` callback (the live-streaming seam the sweep service's
-``--trace`` mode uses). Disk output follows the trial store's discipline:
-records accumulate in a ``tempfile.mkstemp`` sibling of the target path and
-:meth:`finalize` promotes it with one atomic ``os.replace``, so a crashed
-or aborted recording never leaves a half-written trace where a reader
-could find it.
+the optional ``sink`` callback (the live-streaming seam: ``repro record
+--render`` feeds it to :class:`~repro.viz.live.LiveTraceView`). Disk
+output follows the trial store's discipline: records accumulate in a
+``tempfile.mkstemp`` sibling of the target path and :meth:`finalize`
+promotes it with one atomic ``os.replace``, so a crashed or aborted
+recording never leaves a half-written trace where a reader could find
+it.
 
 The writer consumes no randomness and no wall clock, so a recorded run's
 trace bytes are a pure function of (initial world, seed, scheduler) — the
@@ -48,7 +49,7 @@ class TraceWriter:
     ----------
     path:
         Target trace file, or ``None`` for stream-only mode (records go to
-        ``sink`` and nothing touches disk — the sweep service's live mode).
+        ``sink`` and nothing touches disk).
     scenario, params, seed, scheduler, run_index:
         Header identity. ``run_index`` selects which Simulation of a
         multi-run scenario to record (``demo`` builds two; the default 0
@@ -72,6 +73,15 @@ class TraceWriter:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
+        if checkpoint_every < 0:
+            raise TraceError(
+                f"checkpoint_every (--checkpoint-every) must be >= 0 "
+                f"(0 disables periodic checkpoints), got {checkpoint_every}"
+            )
+        if run_index < 0:
+            raise TraceError(
+                f"run_index (--run) must be >= 0, got {run_index}"
+            )
         self.path = Path(path) if path is not None else None
         self.scenario = scenario
         self.params = dict(params) if params else {}

@@ -1,7 +1,7 @@
 """ASCII rendering of shapes, worlds and patterns (figure analogues).
 
 :mod:`repro.viz.live` adds a streaming view over ``repro.trace/v1``
-records (``repro submit --trace`` / ``repro replay --render``); the
+records (``repro record --render`` / ``repro replay --render``); the
 matplotlib animation there is an import-guarded optional extra.
 """
 

@@ -1,7 +1,8 @@
-"""Live ASCII view over a streaming trace (``repro submit --trace``).
+"""Live ASCII view over a streaming trace (``repro record --render``).
 
 :class:`LiveTraceView` consumes ``repro.trace/v1`` records in stream order
-— from the sweep service's NDJSON forwarding, or from a trace file read
+— as the ``sink`` of a local recording
+(:func:`repro.trace.record.record_scenario`), or from a trace file read
 back — and renders the evolving world as ASCII frames. It rides on
 :class:`~repro.trace.replay.TraceCursor` in *resync* mode, so runs that
 mutate the world outside the traced interaction stream (constructor

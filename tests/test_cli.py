@@ -1,11 +1,22 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import re
 
 import pytest
 
-from repro.cli import PATTERNS, SHAPES, build_parser, main
+from repro.cli import build_parser, main
 from repro.experiments import scenario_names, validate_payload
+
+
+def run_json(capsys, argv):
+    """``repro run <argv> --json``, validated, without the run-varying
+    ``wall_time``."""
+    assert main(["run", *argv, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert validate_payload(data) == []
+    del data["wall_time"]
+    return data
 
 
 class TestParser:
@@ -19,83 +30,137 @@ class TestParser:
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["construct", "blob"])
+            build_parser().parse_args(["run", "shape", "--shape", "blob"])
 
     def test_catalogues_nonempty(self):
-        assert "star" in SHAPES
-        assert "serpentine" in SHAPES
-        assert "sierpinski" in PATTERNS
+        # The shape/pattern catalogues surface as the choices of the
+        # registry-generated --shape/--pattern flags.
+        args = build_parser().parse_args(["run", "shape", "--shape", "serpentine"])
+        assert args.param_shape == "serpentine"
+        args = build_parser().parse_args(["run", "shape", "--shape", "star"])
+        assert args.param_shape == "star"
+        args = build_parser().parse_args(
+            ["run", "pattern", "--pattern", "sierpinski"]
+        )
+        assert args.param_pattern == "sierpinski"
+
+    def test_retired_verbs_are_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        out = capsys.readouterr().out
+        for verb in ("serve", "submit", "status", "fetch", "demo", "count",
+                     "construct", "pattern", "cube", "replicate", "repair"):
+            assert f"{verb}," not in out and f",{verb}" not in out
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb])
 
 
 class TestCommands:
     def test_demo(self, capsys):
-        assert main(["demo", "-n", "6", "--seed", "1"]) == 0
+        assert main(["run", "demo", "--n", "6", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "spanning line on 6 nodes" in out
-        assert "######" in out
-        assert "3x3 square" in out
+        assert "scenario 'demo' (n=6)" in out
+        assert "line_events: 5" in out
+        assert "--- line ---" in out and "######" in out
+        assert "--- square ---" in out and "square_n: 9" in out
 
     def test_demo_scheduler_flag(self, capsys):
         # Every uniform scheduler builds the same structures; the seeded
         # trajectories are identical by the scheduler contract, so the
-        # rendered output matches the default exactly.
-        assert main(["demo", "-n", "5", "--seed", "2"]) == 0
-        reference = capsys.readouterr().out
+        # trajectory outcome matches the default exactly (only the work
+        # counter ``evaluations`` is implementation-specific).
+        def outcome(*flags):
+            data = run_json(capsys, ["demo", "--n", "5", "--seed", "2", *flags])
+            keys = ("metrics", "renders", "events", "raw_steps", "stop_reason")
+            return {k: data[k] for k in keys}
+
+        reference = outcome()
         for kind in ("enumerate", "rejection", "hot"):
-            assert main(["demo", "-n", "5", "--seed", "2", "--scheduler", kind]) == 0
-            assert capsys.readouterr().out == reference
-        assert main(["demo", "-n", "5", "--scheduler", "round-robin"]) == 0
-        assert "spanning line on 5 nodes" in capsys.readouterr().out
+            assert outcome("--scheduler", kind) == reference
+        assert main(["run", "demo", "--n", "5", "--scheduler", "round-robin"]) == 0
+        assert "scheduler round-robin" in capsys.readouterr().out
 
     def test_demo_rejects_unknown_scheduler(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--scheduler", "nope"])
+            build_parser().parse_args(["run", "demo", "--scheduler", "nope"])
 
     def test_count(self, capsys):
-        assert main(["count", "64", "--trials", "5", "--seed", "0"]) == 0
+        assert main(["run", "counting", "--n", "64", "--trials", "5",
+                     "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "counting n = 64" in out
-        assert "success rate" in out
+        assert "scenario 'counting' (n=64, b=4, trials=5)" in out
+        assert "mean_estimate:" in out and "success_rate:" in out
 
     @pytest.mark.parametrize("shape", ["star", "cross", "serpentine"])
     def test_construct(self, capsys, shape):
-        assert main(["construct", shape, "-d", "7"]) == 0
+        assert main(["run", "shape", "--shape", shape, "--d", "7"]) == 0
         out = capsys.readouterr().out
-        assert f"constructed {shape!r}" in out
-        assert "#" in out
+        assert f"shape: {shape}" in out
+        assert "--- shape ---" in out and "#" in out
 
     @pytest.mark.parametrize("pattern", ["checkerboard", "sierpinski"])
     def test_pattern(self, capsys, pattern):
-        assert main(["pattern", pattern, "-d", "6"]) == 0
+        assert main(["run", "pattern", "--pattern", pattern, "--d", "6"]) == 0
         out = capsys.readouterr().out
-        assert f"pattern {pattern!r}" in out
+        assert f"pattern: {pattern}" in out
+        assert "--- pattern ---" in out
         assert "0" in out and "1" in out
 
     def test_cube(self, capsys):
-        assert main(["cube", "-m", "3", "--seed", "0"]) == 0
+        assert main(["run", "cube", "--m", "3", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "3x3x3 cube on 27 nodes" in out
+        assert "scenario 'cube' (m=3)" in out and "n: 27" in out
         assert out.count("z =") == 3
 
     def test_replicate_shifting(self, capsys):
-        assert main(["replicate", "--size", "8", "--seed", "2"]) == 0
+        assert main(["run", "replicate", "--size", "8", "--seed", "2"]) == 0
         out = capsys.readouterr().out
+        assert "approach: shifting" in out
         assert "identical: True" in out
-        assert "original:" in out and "replica:" in out
+        assert "--- original ---" in out and "--- replica ---" in out
 
     def test_replicate_columns(self, capsys):
-        assert main(
-            ["replicate", "--size", "8", "--approach", "columns", "--seed", "3"]
-        ) == 0
+        assert main(["run", "replicate", "--size", "8", "--approach",
+                     "columns", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "by columns" in out
+        assert "approach: columns" in out
         assert "identical: True" in out
 
     def test_repair(self, capsys):
-        assert main(["repair", "-d", "7", "--fraction", "0.25", "--seed", "4"]) == 0
+        assert main(["run", "repair", "--d", "7", "--fraction", "0.25",
+                     "--seed", "4"]) == 0
         out = capsys.readouterr().out
-        assert "repaired in" in out
-        assert "damaged:" in out and "repaired:" in out
+        assert "nodes_attached:" in out and "matches_blueprint: True" in out
+        assert "--- damaged ---" in out and "--- repaired ---" in out
+
+
+class TestRecordCommand:
+    def test_render_draws_frames_and_writes_the_same_bytes(self, capsys, tmp_path):
+        argv = ["record", "demo", "--n", "6", "--seed", "1"]
+        plain, drawn = tmp_path / "plain.trace", tmp_path / "drawn.trace"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert "--- end @" not in capsys.readouterr().out
+        assert main(argv + ["--render", "--out", str(drawn)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^--- end @ \d+ events ---$", out, re.M)
+        assert drawn.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [
+            ("--checkpoint-every", "-3", "checkpoint_every (--checkpoint-every)"),
+            ("--run", "-1", "run_index (--run)"),
+        ],
+    )
+    def test_negative_values_are_usage_errors(
+        self, capsys, tmp_path, flag, value, match
+    ):
+        out = tmp_path / "bad.trace"
+        assert main(["record", "demo", "--n", "6", "--seed", "1", flag, value,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err and match in err and value in err
+        assert not out.exists()
 
 
 class TestRegistryCommands:
@@ -190,38 +255,39 @@ class TestRegistryCommands:
 
 
 class TestUniformFlags:
-    """Satellite: construct/pattern take --seed/--json like everyone else
-    (their scenarios record determinism in the spec)."""
+    """The deterministic shape/pattern scenarios take --seed/--json like
+    everyone else (they record determinism in the spec)."""
 
     def test_construct_accepts_seed_and_json(self, capsys):
-        assert main(["construct", "star", "-d", "7", "--seed", "5",
-                     "--json"]) == 0
+        assert main(["run", "shape", "--shape", "star", "--d", "7",
+                     "--seed", "5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert validate_payload(data) == []
         assert data["seed"] == 5  # recorded even though deterministic
 
     def test_pattern_accepts_seed_and_json(self, capsys):
-        assert main(["pattern", "checkerboard", "-d", "6", "--json"]) == 0
+        assert main(["run", "pattern", "--pattern", "checkerboard",
+                     "--d", "6", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert validate_payload(data) == []
         assert data["metrics"]["colors"] == 2
 
     def test_construct_deterministic_regardless_of_seed(self, capsys):
-        assert main(["construct", "cross", "-d", "7", "--seed", "1"]) == 0
-        first = capsys.readouterr().out
-        assert main(["construct", "cross", "-d", "7", "--seed", "2"]) == 0
-        assert capsys.readouterr().out == first
+        argv = ["shape", "--shape", "cross", "--d", "7"]
+        first = run_json(capsys, argv + ["--seed", "1"])
+        second = run_json(capsys, argv + ["--seed", "2"])
+        assert first.pop("seed") == 1 and second.pop("seed") == 2
+        assert first == second
 
-    def test_legacy_aliases_emit_schema_valid_json(self, capsys):
+    def test_run_emits_schema_valid_json(self, capsys):
         for argv in (
-            ["demo", "-n", "5", "--seed", "1", "--json"],
-            ["count", "16", "--trials", "2", "--seed", "0", "--json"],
-            ["cube", "-m", "3", "--seed", "0", "--json"],
-            ["replicate", "--size", "8", "--seed", "2", "--json"],
-            ["repair", "-d", "7", "--fraction", "0.25", "--seed", "4", "--json"],
+            ["demo", "--n", "5", "--seed", "1"],
+            ["counting", "--n", "16", "--trials", "2", "--seed", "0"],
+            ["cube", "--m", "3", "--seed", "0"],
+            ["replicate", "--size", "8", "--seed", "2"],
+            ["repair", "--d", "7", "--fraction", "0.25", "--seed", "4"],
         ):
-            assert main(argv) == 0
-            assert validate_payload(json.loads(capsys.readouterr().out)) == []
+            run_json(capsys, argv)
 
 
 class TestInspectCommand:

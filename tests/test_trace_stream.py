@@ -10,7 +10,7 @@ or fallback backend alike.
 
 Also covers the in-memory compatibility layer's sharpened divergence
 diagnostics (``repro.core.trace.replay`` now validates node states, not
-just bond state) and the sweep service's ``trace`` streaming mode.
+just bond state) and the live ``sink`` stream of a recording.
 """
 
 import json
@@ -391,63 +391,54 @@ class TestSnapshotRestore:
         assert world_digest(restored) == world_digest(world)
 
 
-class TestServiceTraceStream:
-    """The sweep service's trace mode streams writer-identical records."""
+class TestSinkStream:
+    """The ``sink`` seam streams exactly the records the file holds."""
 
-    def test_streamed_records_match_local_recording(self, tmp_path):
-        from repro.experiments.service import ServiceClient, serve_in_thread
-        from repro.experiments.spec import SweepSpec
-        from repro.errors import ReproError
+    def test_sink_records_match_file_bytes(self, tmp_path):
         from repro.trace.encoding import encode_line
 
-        _service, thread = serve_in_thread(
-            tmp_path / "state", workers=1, store=tmp_path / "trials"
+        records = []
+        _res, writer = record_scenario(
+            "faulty-line",
+            {"n": 10, "break_prob": 0.15},
+            seed=5,
+            path=tmp_path / "local.trace",
+            sink=records.append,
         )
-        client = ServiceClient(state_dir=tmp_path / "state", timeout=120.0)
-        sweep = SweepSpec(
-            scenario="faulty-line",
-            grid={"n": [10], "break_prob": [0.15]},
-            trials=1,
-            base_seed=5,
+        assert records[0]["kind"] == "header"
+        assert records[-1]["kind"] == "end"
+        # The fault adversary's out-of-band records ride the same stream.
+        assert {"detach", "excise"} & {r["kind"] for r in records}
+        streamed = b"".join(encode_line(r) for r in records)
+        assert streamed == writer.path.read_bytes()
+
+
+class TestWriterArguments:
+    """Bad writer arguments fail at construction, naming the value."""
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"checkpoint_every": -3}, r"checkpoint_every.*-3"),
+            ({"run_index": -1}, r"run_index \(--run\).*-1"),
+        ],
+    )
+    def test_negative_values_rejected(self, tmp_path, kwargs, match):
+        with pytest.raises(TraceError, match=match):
+            TraceWriter(tmp_path / "bad.trace", **kwargs)
+        with pytest.raises(TraceError, match=match):
+            record_scenario(
+                "demo", {"n": 6}, seed=1, path=tmp_path / "bad.trace", **kwargs
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_cadence_still_accepted(self, tmp_path):
+        _res, writer = record_scenario(
+            "demo", {"n": 6}, seed=1, path=tmp_path / "z.trace",
+            checkpoint_every=0,
         )
-        try:
-            records = []
-            final = client.submit(
-                sweep,
-                wait=True,
-                trace=True,
-                on_event=lambda ev: records.append(ev["record"])
-                if ev.get("event") == "trace"
-                else None,
-            )
-            assert final["status"] == "done" and final["misses"] == 1
-            assert records[0]["kind"] == "header"
-            assert records[-1]["kind"] == "end"
-
-            streamed = b"".join(encode_line(r) for r in records)
-            spec = [s.resolved() for s in sweep.specs()][0]
-            _res, writer = record_scenario(
-                spec.scenario,
-                params=spec.params,
-                seed=spec.seed,
-                scheduler=spec.scheduler,
-                path=tmp_path / "local.trace",
-            )
-            assert streamed == writer.path.read_bytes()
-
-            # Resubmission is fully cached: nothing runs, nothing streams.
-            rerun = []
-            final2 = client.submit(
-                sweep, wait=True, trace=True, on_event=rerun.append
-            )
-            assert final2["hits"] == 1
-            assert not [e for e in rerun if e.get("event") == "trace"]
-        finally:
-            try:
-                client.shutdown()
-            except ReproError:
-                pass
-            thread.join(timeout=30)
+        assert writer.checkpoints == 0
+        replay_trace(writer.path, verify=True)
 
 
 class TestReaderEdgeCases:
