@@ -249,65 +249,82 @@ def iter_node_candidates(
 ) -> Iterator[Candidate]:
     """Every *possibly effective* canonical candidate involving ``nid``.
 
-    Prunes with the protocol's hot/pair/port hints (all over-approximate,
-    so no effective candidate is missed); the caller evaluates the
-    survivors. When the world is bound to an *exact* compiled program
-    (``repro.core.program``), the hints are resolved on interned state ids
-    — the per-state hot bitmask, the pair index, and the oriented port
-    hints — and the per-``(state, port, bond)`` static-effectiveness index
-    additionally discards candidates **no** rule can ever fire on before
-    any geometry probe or dispatch happens. Candidates whose two endpoints
-    are both enumerated (e.g. both dirty, or both hot) are yielded once
-    per endpoint — deduplicate by :func:`candidate_key`.
+    Inter-component candidates are generated dispatch-first whenever the
+    world is bound to the protocol's program (``repro.core.program``),
+    exact or handler-lowered: the program's per-state hot check and its
+    oriented bond-0 port hints — complete for both program kinds — decide
+    which port pairs can fire, and geometry is computed only for those
+    (none for a state pair whose hints are empty). Unbound worlds and ``compiled = False`` protocols fall back
+    to the protocol's public hot/pair/port hints (over-approximate, so no
+    effective candidate is missed). Intra candidates come from
+    :func:`iter_intra_candidates`. The caller evaluates the survivors;
+    candidates whose two endpoints are both enumerated (e.g. both dirty,
+    or both hot) are yielded once per endpoint — deduplicate by
+    :func:`candidate_key`.
     """
     program = protocol.program
-    compiled = (
-        program is not None and world.space is program.space and program.exact
-    )
     nodes = world.nodes
     rec = nodes[nid]
     sid = rec.sid
-    decode = world.space.states
-    if compiled:
-        hot_mask = program.hot_mask
-        nid_hot = bool(hot_mask >> sid & 1)
-    else:
-        state = decode[sid]
-        nid_hot = protocol.is_hot(state)
+    cid = rec.component_id
     yield from iter_intra_candidates(world, protocol, nid)
-    # Inter-component: nid against every node of another component whose
-    # state passes the hints, oriented by component id.
+    if program is None or world.space is not program.space:
+        yield from _iter_unbound_inter(world, protocol, nid)
+        return
+    # Inter-component: nid against every node of another component,
+    # oriented by component id. Hints are keyed (first state, second
+    # state), first = lower component id, and fetched per orientation only
+    # when a partner in another component needs it: a state pair that
+    # only meets inside one component (a leader and its own line) never
+    # costs a handler-lowered program its hint lookups.
+    is_hot = program.is_hot_id
+    hints = program.oriented_hints
+    nid_hot = is_hot(sid)
     for partner_sid, members in world.by_sid.items():
-        if compiled:
-            if not (nid_hot or hot_mask >> partner_sid & 1):
-                continue
-            if not program.pair_can_fire(sid, partner_sid):
-                continue
-            hints = None
-        else:
-            partner_state = decode[partner_sid]
-            if not (nid_hot or protocol.is_hot(partner_state)):
-                continue
-            if not protocol.pair_compatible(state, partner_state):
-                continue
-            hints = protocol.port_hints(state, partner_state)
+        if not (nid_hot or is_hot(partner_sid)):
+            continue
+        nid_first = partner_first = None
         for other in members:
-            if other == nid:
+            other_cid = nodes[other].component_id
+            if other_cid == cid:
                 continue
+            if cid < other_cid:
+                if nid_first is None:
+                    nid_first = hints(sid, partner_sid)
+                first, second, pairs = nid, other, nid_first
+            else:
+                if partner_first is None:
+                    partner_first = hints(partner_sid, sid)
+                first, second, pairs = other, nid, partner_first
+            for p1i, p2i in pairs:
+                yield from world.inter_candidates(
+                    first, PORTS_3D[p1i], second, PORTS_3D[p2i]
+                )
+
+
+def _iter_unbound_inter(
+    world: World, protocol: Protocol, nid: int
+) -> Iterator[Candidate]:
+    """The inter axis of :func:`iter_node_candidates` when no program is
+    bound to the world: the protocol's public hints, decoded states."""
+    nodes = world.nodes
+    rec = nodes[nid]
+    decode = world.space.states
+    state = decode[rec.sid]
+    nid_hot = protocol.is_hot(state)
+    for partner_sid, members in world.by_sid.items():
+        partner_state = decode[partner_sid]
+        if not (nid_hot or protocol.is_hot(partner_state)):
+            continue
+        if not protocol.pair_compatible(state, partner_state):
+            continue
+        hints = protocol.port_hints(state, partner_state)
+        for other in members:
             other_rec = nodes[other]
             if other_rec.component_id == rec.component_id:
                 continue
             first_is_nid = rec.component_id < other_rec.component_id
             first, second = (nid, other) if first_is_nid else (other, nid)
-            if compiled:
-                # Oriented bond-0 hints double as the static-effectiveness
-                # filter: a port pair absent here cannot hit the table.
-                s1, s2 = (sid, partner_sid) if first_is_nid else (partner_sid, sid)
-                for p1i, p2i in program.oriented_hints(s1, s2):
-                    yield from world.inter_candidates(
-                        first, PORTS_3D[p1i], second, PORTS_3D[p2i]
-                    )
-                continue
             if hints is None:
                 combos: Iterator[Tuple] = (
                     (p1, p2) for p1 in world.ports for p2 in world.ports
@@ -354,13 +371,12 @@ def hot_effective_candidates(
 
 
 def _hot_sid_check(world: World, protocol: Protocol) -> Callable[[int], bool]:
-    """Hot-state predicate over interned ids: the compiled hot bitmask
-    when the world is bound to an exact program, else the protocol's
-    public hint decoded at the edge."""
+    """Hot-state predicate over interned ids: the bound program's per-state
+    hot check (a bitmask for exact programs, memoized for handler-lowered
+    ones), else the protocol's public hint decoded at the edge."""
     program = protocol.program
-    if program is not None and world.space is program.space and program.exact:
-        mask = program.hot_mask
-        return lambda sid: bool(mask >> sid & 1)
+    if program is not None and world.space is program.space:
+        return program.is_hot_id
     decode = world.space.states
     return lambda sid: protocol.is_hot(decode[sid])
 

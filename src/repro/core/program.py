@@ -24,11 +24,14 @@ strings. This module compiles any protocol down to a small-int IR:
   (:meth:`CompiledProgram.can_fire`), which prunes candidates that **no**
   rule can ever fire on before any geometry or dispatch work happens.
 * :class:`MemoProgram` — the escape hatch for handler-backed protocols
-  (:class:`~repro.core.protocol.AgentProtocol` and friends): observed
-  transitions are lowered into the same packed table lazily, so repeat
-  interactions cost one int-dict hit instead of a handler call. Its
-  static indexes are *not* closed-world (``exact = False``), so the
-  pruning layer never consults them.
+  (:class:`~repro.core.protocol.AgentProtocol` and friends): transitions
+  are lowered into the same packed keys lazily, so repeat interactions
+  cost one int-dict hit instead of a handler call. Its hot check and
+  oriented bond-0 hints are filled lazily per state and per state pair,
+  and are complete for every pair they answer (handlers are pure), so
+  the inter-component candidate loop dispatches before geometry for both
+  program kinds. It is *not* closed-world (``exact = False``): the
+  ``can_fire``/pair indexes and the columnar batch path stay exact-only.
 
 ``World`` adopts a program's :class:`StateSpace` (see
 ``World.adopt_space``) so node records store interned ids internally and
@@ -225,10 +228,13 @@ class CompiledProgram:
     """A compiled protocol: state space, packed table, static indexes.
 
     ``exact`` declares the table and indexes *complete*: no transition
-    outside the table can ever be effective. Only exact programs feed the
-    static-effectiveness pruning layer; lazily-lowered handler programs
-    (:class:`MemoProgram`) set ``exact = False`` and the candidate layer
-    falls back to the protocol's own over-approximate hints.
+    outside the table can ever be effective. :meth:`is_hot_id` and
+    :meth:`oriented_hints` are what the inter-component candidate loop
+    consults for every program bound to a world's space; exact programs
+    answer them from indexes built here, while lazily-lowered handler
+    programs (:class:`MemoProgram`, ``exact = False``) fill them on demand
+    by dispatch. The remaining static indexes (``can_fire``, the pair
+    index) and the columnar batch path are used only when ``exact``.
     """
 
     __slots__ = (
@@ -440,18 +446,27 @@ def compile_rules(
 
 
 class MemoProgram(CompiledProgram):
-    """Lazily lowers a handler-backed protocol into the packed table.
+    """Lazily lowers a handler-backed protocol into packed dispatch.
 
     Each distinct packed LHS is evaluated through the protocol's
     ``handle`` exactly once (including the identity-update normalization,
-    so effectiveness is never re-checked per interaction); the observed
-    update — or ineffectiveness — is memoized under the same int key the
-    exact table uses. ``exact`` stays ``False``: the table only records
-    what has been *observed*, so the static pruning layer must not treat
-    absence as impossibility.
+    so effectiveness is never re-checked per interaction); the update —
+    or ineffectiveness — is memoized under the same int key the exact
+    table uses.
+
+    The per-state hot check (:meth:`is_hot_id`) and the oriented bond-0
+    port hints (:meth:`oriented_hints`) are memoized on first request.
+    Hints are found by looking up every bond-0 port pair of the state
+    pair, so they are *complete* for that pair: handlers are pure
+    functions of the interaction view (the
+    :class:`~repro.core.protocol.AgentProtocol` contract). Lookups only
+    decode states, never intern them, so asking early cannot perturb the
+    space's interning order. ``exact`` stays ``False`` because nothing is
+    known about pairs not yet asked for: ``can_fire`` and the pair index
+    stay empty, and the columnar batch path (which needs them) is not used.
     """
 
-    __slots__ = ("_protocol", "_memo", "_ports")
+    __slots__ = ("_protocol", "_memo", "_ports", "_port_ids", "_hot")
 
     def __init__(self, protocol) -> None:
         super().__init__(
@@ -461,6 +476,12 @@ class MemoProgram(CompiledProgram):
         self._memo: Dict[int, Optional[Update]] = {}
         # Port objects by packed index, for reconstructing boundary views.
         self._ports: Tuple[Port, ...] = tuple(PORT_INDEX)
+        # The protocol's port set P as packed indexes, ascending, so hints
+        # come out in the same sorted order the exact build gives them.
+        self._port_ids: Tuple[int, ...] = tuple(
+            sorted(PORT_INDEX[p] for p in protocol.ports)
+        )
+        self._hot: Dict[int, bool] = {}
 
     def lookup(self, s1: int, p1: int, s2: int, p2: int, bond: int) -> Optional[Update]:
         key = (s1 << _S1_SHIFT) | (s2 << _S2_SHIFT) | (p1 << _P1_SHIFT) | (p2 << 1) | bond
@@ -480,9 +501,44 @@ class MemoProgram(CompiledProgram):
             self.rule_count += 1
         return update
 
+    def is_hot_id(self, sid: int) -> bool:
+        """The protocol's ``is_hot`` hint, decoded once per state id."""
+        hot = self._hot.get(sid)
+        if hot is None:
+            hot = self._hot[sid] = bool(
+                self._protocol.is_hot(self.space.states[sid])
+            )
+        return hot
+
+    def oriented_hints(self, sid1: int, sid2: int) -> Tuple[Tuple[int, int], ...]:
+        """The ordered port-index pairs under which ``(state1, state2)``
+        has an effective bond-0 transition, in this orientation.
+
+        Filled on the first request for the pair by looking up all
+        ``|P|^2`` bond-0 port pairs (skipped when the protocol's
+        ``pair_compatible`` hint rules the pair out) and memoized; empty
+        when nothing fires.
+        """
+        key = (sid1 << STATE_BITS) | sid2
+        hints = self._hints.get(key)
+        if hints is None:
+            decode = self.space.states
+            if self._protocol.pair_compatible(decode[sid1], decode[sid2]):
+                ports = self._port_ids
+                hints = tuple(
+                    (p1, p2)
+                    for p1 in ports
+                    for p2 in ports
+                    if self.lookup(sid1, p1, sid2, p2, 0) is not None
+                )
+            else:
+                hints = ()
+            self._hints[key] = hints
+        return hints
+
     def describe(self) -> str:
         return (
             "compiled lazily from a handler: "
             f"{len(self.space)} states and {self.rule_count} effective "
-            "transitions observed so far (table grows as interactions occur)"
+            "transitions looked up so far (table grows as interactions occur)"
         )

@@ -160,7 +160,9 @@ class Protocol:
         """Hint: an interaction between these states may be effective.
 
         Must over-approximate (False only when *no* rule can apply to the
-        unordered state pair, for any ports or bond value).
+        unordered state pair, for any ports or bond value). A
+        handler-lowered program also consults it before filling a state
+        pair's oriented hints, to skip the handler calls.
         """
         return True
 
@@ -170,8 +172,12 @@ class Protocol:
         """Hint: the ordered port pairs under which the state pair may have
         an effective transition; ``None`` means "any ports".
 
-        Must over-approximate. Schedulers use this to skip geometry checks
-        for port pairs that cannot possibly match a rule.
+        Must over-approximate. Consulted only for worlds not bound to
+        :attr:`program` (``compiled = False``, or a world that has not
+        adopted the program's state space): bound worlds take the
+        program's exact oriented hints
+        (:meth:`~repro.core.program.CompiledProgram.oriented_hints`),
+        which handler-lowered programs fill by dispatch.
         """
         return None
 

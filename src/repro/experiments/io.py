@@ -363,22 +363,28 @@ def describe_scenario(scenario: Scenario) -> str:
             + (f": {p.help}" if p.help else "")
         )
     if scenario.protocols:
-        # Scheduler-driven scenarios report the candidate backend the
-        # schedulers would use (columnar vs pure-Python fallback, resolved
-        # against REPRO_COLUMNAR and numpy availability) and their
-        # compiled programs: state count, rule count and hot-state set of
-        # the packed IR the schedulers actually dispatch on
-        # (repro.core.program).
+        # Scheduler-driven scenarios report, per protocol, the compiled
+        # program the schedulers dispatch on (repro.core.program) and the
+        # candidate store they run on: exact programs use the dense
+        # columnar store when the backend resolves to it (REPRO_COLUMNAR,
+        # numpy availability); handler-lowered programs always use the
+        # scalar store.
         from repro.analysis.protocol import analyze_protocol
-        from repro.core.columnar import backend_name
+        from repro.core.columnar import backend_name, columnar_default
 
-        lines.append(f"  backend:     {backend_name()}")
         lines.append("  protocols:")
         for spec in protocol_specs(scenario):
             protocol = spec.factory()
             program = protocol.program
             name = getattr(protocol, "name", type(protocol).__name__)
+            if not program.exact:
+                store = "scalar (handler-lowered)"
+            elif columnar_default():
+                store = "dense columnar"
+            else:
+                store = f"scalar, {backend_name()}"
             lines.append(f"    {name}: {program.describe()}")
+            lines.append(f"      store:    {store}")
             report = analyze_protocol(protocol, extra_initial=spec.extra_initial)
             lines.append(f"      analysis: {report.summary()}")
     return "\n".join(lines)

@@ -182,6 +182,19 @@ class TestRegistryCommands:
         assert "--approach" in out
         assert "choices ['shifting', 'columns']" in out
 
+    def test_describe_reports_the_candidate_store_per_protocol(self, capsys):
+        from repro.core.columnar import columnar_default
+
+        assert main(["describe", "counting-line"]) == 0
+        out = capsys.readouterr().out
+        assert "store:    scalar (handler-lowered)" in out
+        assert "columnar" not in out
+        assert main(["describe", "demo"]) == 0
+        out = capsys.readouterr().out
+        exact = "dense columnar" if columnar_default() else "scalar, fallback"
+        assert out.count(f"store:    {exact}") == 2  # line and square
+        assert "handler-lowered" not in out
+
     def test_describe_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["describe", "frobnicate"])

@@ -225,6 +225,59 @@ def test_memo_program_lowers_and_caches_handler_transitions():
     assert program.rule_count == 1
 
 
+def test_memo_oriented_hints_are_the_effective_bond0_pairs():
+    calls = []
+
+    def handler(view):
+        calls.append(view)
+        # Only the presented orientation fires: (L, r) meets (q0, any).
+        if (view.state1, view.port1, view.state2, view.bond) == ("L", R, "q0", 0):
+            return ("q1", "L", 1)
+        return None
+
+    protocol = AgentProtocol(
+        handler, compatible=lambda s1, s2: "x" not in (s1, s2)
+    )
+    program = protocol.program
+    space = program.space
+    lead, q0, x = (space.intern(s) for s in ("L", "q0", "x"))
+    ports = sorted(PORT_INDEX[p] for p in PORTS_2D)
+
+    hints = program.oriented_hints(lead, q0)
+    assert hints == tuple(
+        (p1, p2)
+        for p1 in ports
+        for p2 in ports
+        if program.lookup(lead, p1, q0, p2, 0) is not None
+    )
+    assert hints == tuple((PORT_INDEX[R], p2) for p2 in ports)  # ordered
+    assert len(calls) == len(ports) ** 2  # one handler call per bond-0 LHS
+    assert program.oriented_hints(lead, q0) is hints  # memoized
+    assert len(calls) == len(ports) ** 2
+    # The mirror orientation is a different pair; nothing fires there.
+    assert program.oriented_hints(q0, lead) == ()
+    assert len(calls) == 2 * len(ports) ** 2
+    # An incompatible pair is ruled out without calling the handler.
+    assert program.oriented_hints(lead, x) == ()
+    assert len(calls) == 2 * len(ports) ** 2
+    # Lookups decode states, never intern the handler's results.
+    assert "q1" not in space and len(space) == 3
+
+
+def test_memo_hot_check_decodes_each_state_once():
+    seen = []
+
+    def hot(state):
+        seen.append(state)
+        return state == "L"
+
+    program = AgentProtocol(lambda view: None, hot=hot).program
+    lead, q0 = (program.space.intern(s) for s in ("L", "q0"))
+    assert program.is_hot_id(lead) and not program.is_hot_id(q0)
+    assert program.is_hot_id(lead) and not program.is_hot_id(q0)
+    assert seen == ["L", "q0"]
+
+
 # ----------------------------------------------------------------------
 # World interning
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ scheduler consume the same RNG draws over the same canonically ordered
 effective list, so seeded runs of ``enumerate``, ``rejection``, ``hot``
 (cached), and ``hot`` (brute-force) must produce byte-identical event
 trajectories and final configurations — not merely agree in law. These
-tests pin that across the paper's line, square, and replication protocols,
-and drive the incremental cache against the reference enumeration through
-merges, splits, fault injection, and synchronous rounds.
+tests pin that across the paper's line, square, and replication protocols
+and two handler-lowered protocols (counting on a line, the leaderless
+line's handler form), and drive the incremental cache against the
+reference enumeration through merges, splits, fault injection, and
+synchronous rounds.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constructors.counting_line import counting_line_protocol
 from repro.core.candidates import (
     EffectiveCandidateCache,
     candidate_sort_key,
@@ -29,6 +32,9 @@ from repro.core.trace import TraceRecorder, world_to_dict
 from repro.core.world import World
 from repro.faults.injection import FaultySimulation, break_random_bond
 from repro.geometry.ports import PORTS_2D, opposite, ports_for_dimension
+from repro.protocols.leaderless_line import (
+    leaderless_spanning_line_handler_protocol,
+)
 from repro.protocols.line import spanning_line_protocol
 from repro.protocols.replication import (
     no_leader_line_replication_protocol,
@@ -83,6 +89,19 @@ SCENARIOS = {
     "gluing": (
         gluing_protocol,
         lambda protocol: World.of_free_nodes(8, protocol, leaders=0),
+        200,
+    ),
+    # Handler-lowered programs (MemoProgram): the hot legs generate inter
+    # candidates dispatch-first from lazily filled oriented hints, while
+    # the enumerate leg filters the full geometric enumeration.
+    "counting-line": (
+        lambda: counting_line_protocol(b=2),
+        lambda protocol: World.of_free_nodes(7, protocol, leaders=1),
+        200,
+    ),
+    "leaderless-handler": (
+        leaderless_spanning_line_handler_protocol,
+        lambda protocol: World.of_free_nodes(6, protocol, leaders=0),
         200,
     ),
 }
@@ -257,6 +276,21 @@ class TestIncrementalCacheEqualsReference:
         cache = EffectiveCandidateCache()
         sim = Simulation(world, protocol, seed=seed)
         for _ in range(40):
+            self._assert_in_sync(cache, world, protocol)
+            if sim.step() is None:
+                break
+
+    @given(st.integers(min_value=0, max_value=500))
+    @settings(max_examples=5, deadline=None)
+    def test_through_handler_counting_line(self, seed):
+        # A handler-lowered program: the cache generates inter candidates
+        # from lazily memoized oriented hints, the reference from the full
+        # geometric enumeration.
+        protocol = counting_line_protocol(b=2)
+        world = World.of_free_nodes(7, protocol, leaders=1)
+        cache = EffectiveCandidateCache()
+        sim = Simulation(world, protocol, seed=seed)
+        for _ in range(60):
             self._assert_in_sync(cache, world, protocol)
             if sim.step() is None:
                 break
