@@ -38,8 +38,9 @@ cell sets only through collision probes, so:
   every surviving entry verbatim and discovers the newly permitted ones
   from the vacated cells: candidates anchored next to a vacated cell come
   from re-examining the journalled cut frontier, and placements that were
-  blocked *only* by departed cells are re-seeded by sliding each multi-cell
-  partner's footprint over the vacated cells
+  blocked *only* by departed cells are re-seeded by sliding the footprint
+  of each multi-cell partner that some rule can bond to the shrunk
+  component over the vacated cells
   (:meth:`EffectiveCandidateCache._reseed_vacated`).
 
 Surviving intra/inter entries keep their exact rotation, translation and
@@ -505,6 +506,9 @@ class EffectiveCandidateCache:
         #: split/move prune can still probe them individually.
         self._pending_rows: List[tuple] = []
         self._pending_keys: Set[CandidateKey] = set()
+        #: Sorted cids whose trail lagged at this refresh's first dense
+        #: merge prune (see :meth:`_lagging_cids`); reset per refresh.
+        self._lagging = None
         #: Protocol-delta evaluations performed (the scheduler cost metric
         #: reported by ``benchmarks/bench_schedulers.py``).
         self.evaluations = 0
@@ -552,6 +556,7 @@ class EffectiveCandidateCache:
             # Records replay in mutation order, so each component's version
             # trail can be followed bump by bump across a whole gap of
             # interleaved merges, splits, and moves.
+            self._lagging = None
             for kind, record in deltas:
                 if kind == "merge":
                     self._apply_merge_delta(world, record, dirty)
@@ -1085,93 +1090,147 @@ class EffectiveCandidateCache:
     ) -> None:
         """The merge prune over the dense store: one vectorized sweep.
 
-        Selects the surviving inter rows with array masks, resolves the
-        partner-side component trail per *component* instead of per
-        entry, probes singleton partners in one membership gather per
-        rotation code, and leaves only multi-cell partners (few per
-        merge) to per-row probes — same decisions as the scalar walk.
+        Selects the surviving inter rows with array masks, then flags the
+        rows whose partner component changed in the same gap (re-examined
+        wholesale, as in the scalar walk) with one membership test against
+        the few components whose trail lagged at the refresh's first
+        prune (:meth:`_lagging_cids`), instead of a dict probe per
+        partner component.
+
+        The landing-cell rule decides every clean row with a *singleton*
+        partner: the placement collides exactly when the partner's one
+        cell, carried into the survivor's frame, is newly occupied. The
+        carry uses the row's own rotation and translation and the
+        partner's current cell — ``rot(cell) + trans`` when the survivor
+        hosts, ``rot⁻¹(cell - trans)`` when the partner does — never the
+        survivor's current cell, which a later record of the same gap may
+        already have moved out of the frame the row was generated in; a
+        clean partner's cell is the one the row was generated against,
+        split-born singletons off the origin cell included.
+        A free singleton rests on the origin, which every rotation fixes,
+        so its landing cell is read straight off the row's translation;
+        other singleton rows are rotated in one gather over their codes.
+        One membership test against the new cells then decides them all.
+        Only rows with a multi-cell partner (few per merge) keep the
+        per-rotation footprint probe. Same decisions as the scalar walk.
         """
         np = _col.np
         ids = self._d_id
         if ids is None or not len(ids) or not survivors or not new_cells:
             return
-        surv = np.fromiter(survivors, np.int64, count=len(survivors))
-        surv.sort()
+        idx = self._batch.idx
+        # Survivor membership as a node-id bitmap: one gather per column
+        # instead of a binary search per stored row.
+        is_surv = np.zeros(len(idx.cid), dtype=bool)
+        is_surv[np.fromiter(survivors, np.int64, count=len(survivors))] = True
         n1, n2, inter = self._d_endpoints()
-        s1 = _col.in_sorted(n1, surv)
-        m = s1 | _col.in_sorted(n2, surv)
+        s1 = is_surv[n1]
+        m = s1 | is_surv[n2]
         m &= inter
         if self._d_drop is not None:
             m &= ~self._d_drop
         rows = np.nonzero(m)[0]
-        if dirty and len(rows):
+        if not len(rows):
+            return
+        r1, r2 = n1[rows], n2[rows]
+        if dirty:
             # The dirty filter only matters on the selected rows — keep
             # the full-store passes to the survivor masks above.
             dirty_arr = np.fromiter(dirty, np.int64, count=len(dirty))
             dirty_arr.sort()
-            ok = ~_col.in_sorted(n1[rows], dirty_arr)
-            ok &= ~_col.in_sorted(n2[rows], dirty_arr)
-            rows = rows[ok]
-        if not len(rows):
-            return
+            ok = ~_col.in_sorted(r1, dirty_arr)
+            ok &= ~_col.in_sorted(r2, dirty_arr)
+            if not ok.all():
+                rows, r1, r2 = rows[ok], r1[ok], r2[ok]
+                if not len(rows):
+                    return
         first = s1[rows]  # survivor is nid1: partner placed in this frame
-        mine = np.where(first, n1[rows], n2[rows])
-        partner = np.where(first, n2[rows], n1[rows])
-        batch = self._batch
-        pcid = batch.idx.cid[partner]
-        components = world.components
-        clean = np.ones(len(rows), dtype=bool)
-        for cid in np.unique(pcid).tolist():
-            comp = components.get(cid)
-            if (
-                comp is None
-                or self._comp_versions.get(cid) != comp.version
-            ):
-                # Partner component changed in the same gap: re-examine
-                # the survivor side wholesale (see the scalar walk).
-                sel = pcid == cid
-                clean[sel] = False
-                dirty.update(mine[sel].tolist())
-        if not clean.any():
-            return
-        trans = (self._d_lo[rows] & _col._LO_TRANS_MASK) - _col.PACKED_ORIGIN
+        partner = np.where(first, r2, r1)
+        lagging = self._lagging_cids(world)
+        if len(lagging):
+            pcid = idx.cid[partner]
+            stale = np.zeros(len(rows), dtype=bool)
+            components = world.components
+            hit = _col.in_sorted(pcid, lagging)
+            for cid in np.unique(pcid[hit]).tolist():
+                comp = components.get(cid)
+                if (
+                    comp is None
+                    or self._comp_versions.get(cid) != comp.version
+                ):
+                    # Partner component changed in the same gap:
+                    # re-examine the survivor side wholesale (see the
+                    # scalar walk).
+                    stale |= pcid == cid
+            if stale.any():
+                dirty.update(np.where(first, r1, r2)[stale].tolist())
+                keep = ~stale
+                rows, first, partner = rows[keep], first[keep], partner[keep]
+                if not len(rows):
+                    return
+        # Packed cell at which the row's translation lands the origin.
+        origin_landing = self._d_lo[rows] & _col._LO_TRANS_MASK
+        trans = origin_landing - _col.PACKED_ORIGIN
         codes = ids[rows] & _col.KEY_ROT_MASK
-        ptag = batch.node_tag[partner]
-        occ_tags = batch.occ_tags
         new_arr = np.fromiter(new_cells, np.int64, count=len(new_cells))
-        drop = np.zeros(len(rows), dtype=bool)
-        for code in np.unique(codes[clean]).tolist():
-            rot = _col.ROT_BY_CODE[code - 1]
-            sel = clean & (codes == code)
-            a = sel & first
-            if a.any():
-                # Partner placed into the survivor's frame: a collision
-                # with a new cell, pulled back into the partner frame by
-                # the inverse rotation, lands on the partner's occupancy
-                # — which the global tag array answers for every row.
-                inv = rot.inverse()
-                inv_new = _col.rotate_cells(inv, new_arr)
-                inv_t = (
-                    _col.rotate_cells(inv, trans[a] + _col.PACKED_ORIGIN)
-                    - _col.PACKED_ORIGIN
-                )
-                probes = (ptag[a] - inv_t)[:, None] + inv_new[None, :]
-                drop[a] = (
-                    _col.in_sorted(probes.reshape(-1), occ_tags)
-                    .reshape(probes.shape)
-                    .any(axis=1)
-                )
-            b = sel & ~first
-            if b.any():
-                # Partner hosts: map the new cells into its frame and
-                # probe its occupancy through the tags.
-                rnew = _col.rotate_cells(rot, new_arr)
-                probes = (ptag[b] + trans[b])[:, None] + rnew[None, :]
-                drop[b] = (
-                    _col.in_sorted(probes.reshape(-1), occ_tags)
-                    .reshape(probes.shape)
-                    .any(axis=1)
-                )
+        new_arr.sort()
+        single = idx.csize[partner] == 1
+        cell = idx.cell[partner]
+        # A free singleton rests on the origin, which every rotation
+        # fixes: when the survivor hosts it, its landing cell is where
+        # the translation lands the origin. Any other singleton row is
+        # carried through its own rotation.
+        landing = origin_landing
+        turned = single & ~(first & (cell == _col.PACKED_ORIGIN))
+        if turned.any():
+            f, t, k = first[turned], trans[turned], codes[turned]
+            c = cell[turned]
+            landing = landing.copy()
+            landing[turned] = _col.rotate_cells_by_code(
+                np.where(f, k, _col.INVERSE_CODE[k]),
+                np.where(f, c, c - t),
+            ) + np.where(f, t, 0)
+        drop = single & _col.in_sorted(landing, new_arr)
+        multi = np.nonzero(~single)[0]
+        if len(multi):
+            batch = self._batch
+            mcodes = codes[multi]
+            occ_tags = batch.occ_tags
+            for code in np.unique(mcodes).tolist():
+                rot = _col.ROT_BY_CODE[code - 1]
+                sel = multi[mcodes == code]
+                a = sel[first[sel]]
+                if len(a):
+                    # Partner placed into the survivor's frame: a
+                    # collision with a new cell, pulled back into the
+                    # partner frame by the inverse rotation, lands on the
+                    # partner's occupancy — which the global tag array
+                    # answers for every row.
+                    inv = rot.inverse()
+                    inv_new = _col.rotate_cells(inv, new_arr)
+                    inv_t = (
+                        _col.rotate_cells(inv, origin_landing[a])
+                        - _col.PACKED_ORIGIN
+                    )
+                    ptag = batch.node_tag[partner[a]]
+                    probes = (ptag - inv_t)[:, None] + inv_new[None, :]
+                    drop[a] = (
+                        _col.in_sorted(probes.reshape(-1), occ_tags)
+                        .reshape(probes.shape)
+                        .any(axis=1)
+                    )
+                b = sel[~first[sel]]
+                if len(b):
+                    # Partner hosts: map the new cells into its frame and
+                    # probe its occupancy through the tags.
+                    rnew = _col.rotate_cells(rot, new_arr)
+                    ptag = batch.node_tag[partner[b]]
+                    probes = (ptag + trans[b])[:, None] + rnew[None, :]
+                    drop[b] = (
+                        _col.in_sorted(probes.reshape(-1), occ_tags)
+                        .reshape(probes.shape)
+                        .any(axis=1)
+                    )
         if drop.any():
             # Defer the physical removal: mark the rows and compress once
             # per refresh (in invalidate or finalize), not once per record.
@@ -1179,6 +1238,32 @@ class EffectiveCandidateCache:
                 self._d_drop = np.zeros(len(ids), dtype=bool)
             self._d_drop[rows[drop]] = True
             self._sorted = None
+
+    def _lagging_cids(self, world: World):
+        """Live components whose tracked version trail lagged when this
+        refresh's record replay reached its first dense prune, as a
+        sorted int64 array (computed once per refresh).
+
+        Every other live component is tracked at its current version and
+        stays so for the rest of the replay: a record only advances a
+        trail that stands exactly one bump behind it, and a fragment born
+        in the gap is untracked until its split record is replayed — so
+        a partner outside this set is never stale, and the exact check
+        runs only on the few inside it.
+        """
+        lagging = self._lagging
+        if lagging is None:
+            versions = self._comp_versions
+            lagging = _col.np.array(
+                sorted(
+                    cid
+                    for cid, comp in world.components.items()
+                    if versions.get(cid) != comp.version
+                ),
+                dtype=_col.np.int64,
+            )
+            self._lagging = lagging
+        return lagging
 
     def _prune_pending(
         self,
@@ -1343,24 +1428,32 @@ class EffectiveCandidateCache:
         A placement that was impermissible before the shrinkage and is
         permissible after it must have had *all* its collisions on
         now-vacated cells — so every such placement lands a cell of one
-        side on a vacated cell. Three partner classes:
+        side on a vacated cell. Four partner classes:
 
         * singleton partners need no work here: their only landing cell is
           the target slot, so a new candidate's kept-side anchor is
           grid-adjacent to a vacated cell — a frontier node, already
           dirty;
-        * multi-cell partners with a clean version trail are re-seeded by
-          sliding their footprint over the vacated cells (both canonical
-          orientations, depending on which side's frame hosts the
-          placement) and verifying each seeded placement against the
-          *current* occupancy;
+        * multi-cell partners that no rule can bond to the shrunk
+          component are skipped before any geometry: no (shrunk state,
+          partner state) pair passes the static gates
+          :meth:`_insert_reseeded` applies to every seeded candidate
+          (:meth:`_bondable_sids`), so re-seeding them could add no row
+          and spend no evaluation;
+        * the remaining multi-cell partners with a clean version trail are
+          re-seeded by sliding their footprint over the vacated cells
+          (both canonical orientations, depending on which side's frame
+          hosts the placement) and verifying each seeded placement
+          against the *current* occupancy;
         * partners whose trail is mid-flux in the same gap (pending
           records) are folded into the dirty set wholesale — their full
           regeneration covers every pair with the kept component.
         """
         if not vacated:
             return
+        nodes = world.nodes
         g_kept = world.geometry(comp)
+        bondable = None
         for tcid in sorted(self._comp_versions):
             if tcid == kept_cid:
                 continue
@@ -1376,6 +1469,11 @@ class EffectiveCandidateCache:
             members = self._comp_members.get(tcid, ())
             if members and all(nid in dirty for nid in members):
                 continue  # full regeneration already covers this pair
+            if bondable is None:
+                bondable = self._bondable_sids(world, protocol, comp)
+            ok = bondable[0] if kept_cid < tcid else bondable[1]
+            if not any(nodes[nid].sid in ok for nid in tcomp.cells.values()):
+                continue  # no rule bonds it to the shrunk component
             g_t = world.geometry(tcomp)
             if kept_cid < tcid:
                 self._reseed_as_host(
@@ -1385,6 +1483,60 @@ class EffectiveCandidateCache:
                 self._reseed_as_guest(
                     world, protocol, evaluate, g_t, g_kept, vacated, dirty
                 )
+
+    @staticmethod
+    def _bondable_sids(
+        world: World, protocol: Protocol, comp
+    ) -> Tuple[Set[int], Set[int]]:
+        """Partner states that may form a re-seeded candidate with some
+        state of the shrunk component ``comp``.
+
+        Returns ``(as_guest, as_host)``: the partner sids that pass the
+        static gates of :meth:`_insert_reseeded` when the partner is
+        placed into the shrunk component's frame (it has the larger cid)
+        and when it hosts the shrunk component. Exact programs: a hot
+        endpoint and ``pair_can_fire`` (symmetric, so both sets agree);
+        any other program: a hot endpoint and ``pair_compatible``, asked
+        in candidate order (host state first). A partner with no member
+        in the matching set cannot yield a re-seeded row.
+        """
+        nodes = world.nodes
+        mine = sorted({nodes[nid].sid for nid in comp.cells.values()})
+        program = protocol.program
+        if (
+            program is not None
+            and world.space is program.space
+            and program.exact
+        ):
+            hot_mask = program.hot_mask
+            pair_can_fire = program.pair_can_fire
+            ok = {
+                b
+                for b in world.by_sid
+                if any(
+                    (hot_mask >> a & 1 or hot_mask >> b & 1)
+                    and pair_can_fire(a, b)
+                    for a in mine
+                )
+            }
+            return ok, ok
+        decode = world.space.states
+        is_hot = protocol.is_hot
+        compatible = protocol.pair_compatible
+        as_guest: Set[int] = set()
+        as_host: Set[int] = set()
+        for b in world.by_sid:
+            sb = decode[b]
+            b_hot = is_hot(sb)
+            for a in mine:
+                sa = decode[a]
+                if not (b_hot or is_hot(sa)):
+                    continue
+                if compatible(sa, sb):
+                    as_guest.add(b)
+                if compatible(sb, sa):
+                    as_host.add(b)
+        return as_guest, as_host
 
     def _reseed_as_host(
         self,
@@ -1411,7 +1563,10 @@ class EffectiveCandidateCache:
         seen_placements: Set[Tuple[tuple, int]] = set()
         for rot in rotations_for_dimension(world.dimension):
             rotated = g_guest.rotated(rot)
-            guest_items = tuple(zip(g_guest.cells.values(), rotated))
+            # (guest node, rotated cell, rotated port deltas), filled on
+            # the rotation's first permissible seed: one compose per
+            # guest node and rotation, not one per seeded placement.
+            guest_items = None
             for v in vacated:
                 for rcell in rotated:
                     trans = v - rcell
@@ -1421,12 +1576,21 @@ class EffectiveCandidateCache:
                     seen_placements.add(pkey)
                     if any((c + trans) in occ_host for c in rotated):
                         continue  # still collides elsewhere
-                    for nid2, rc2 in guest_items:
-                        image = rc2 + trans
-                        rec2 = nodes[nid2]
-                        rdeltas = orientation_port_deltas(
-                            rot.compose(rec2.orientation)
+                    if guest_items is None:
+                        guest_items = tuple(
+                            (
+                                nid2,
+                                rc2,
+                                orientation_port_deltas(
+                                    rot.compose(nodes[nid2].orientation)
+                                ),
+                            )
+                            for nid2, rc2 in zip(
+                                g_guest.cells.values(), rotated
+                            )
                         )
+                    for nid2, rc2, rdeltas in guest_items:
+                        image = rc2 + trans
                         for i2, p2 in enumerate(ports):
                             pos1 = image + rdeltas[i2]
                             nid1 = g_host.cells.get(pos1)
@@ -1468,12 +1632,14 @@ class EffectiveCandidateCache:
         occ_host = g_host.occ
         occ_guest = g_guest.occ
         nodes = world.nodes
-        ports = world.ports
         seen_placements: Set[Tuple[tuple, int]] = set()
         for rot in rotations_for_dimension(world.dimension):
             apply_rot = packed_rotation(rot)
             inv = packed_rotation(rot.inverse())
             rotated_vacated = tuple(apply_rot(v) for v in vacated)
+            # Guest node -> its rotated port deltas, one compose per guest
+            # node and rotation.
+            rdeltas: Dict[int, Tuple[int, ...]] = {}
             for rv in rotated_vacated:
                 for hcell in occ_host:
                     trans = hcell - rv
@@ -1494,6 +1660,13 @@ class EffectiveCandidateCache:
                         nid2 = g_guest.cells.get(inv(target - trans))
                         if nid2 is None:
                             continue
+                        deltas2 = rdeltas.get(nid2)
+                        if deltas2 is None:
+                            deltas2 = rdeltas[nid2] = orientation_port_deltas(
+                                rot.compose(nodes[nid2].orientation)
+                            )
+                        # The alignment condition rot(d2) == -d1 of the
+                        # §3 kernel picks the guest's port.
                         self._insert_reseeded(
                             world,
                             protocol,
@@ -1501,7 +1674,7 @@ class EffectiveCandidateCache:
                             nid1,
                             d1,
                             nid2,
-                            None,
+                            PORTS_3D[deltas2.index(-d1)],
                             rot,
                             trans,
                             dirty,
@@ -1523,10 +1696,9 @@ class EffectiveCandidateCache:
         """Materialize one re-seeded placement as a canonical candidate.
 
         ``d1`` is the packed world-frame delta from the anchor ``nid1``
-        toward the landing cell of ``nid2``; the anchor's port ``p1`` and
-        (when not already fixed by the caller) the guest's port ``p2`` are
-        recovered by matching oriented port deltas — the alignment
-        condition ``rot(d2) == -d1`` of the §3 kernel.
+        toward the landing cell of ``nid2`` (whose port ``p2`` the caller
+        fixed); the anchor's port ``p1`` is recovered by matching oriented
+        port deltas.
         """
         if nid1 in dirty or nid2 in dirty:
             return  # regeneration of the dirty endpoint covers this pair
@@ -1541,15 +1713,6 @@ class EffectiveCandidateCache:
                 break
         if p1 is None:  # pragma: no cover - d1 is always a unit delta
             return
-        if p2 is None:
-            rec2 = nodes[nid2]
-            rdeltas2 = orientation_port_deltas(rot.compose(rec2.orientation))
-            for i, port in enumerate(ports):
-                if rdeltas2[i] == -d1:
-                    p2 = port
-                    break
-            if p2 is None:  # pragma: no cover - the rotation group is closed
-                return
         # The same static gates iter_node_candidates applies: skip pairs no
         # rule can ever fire on before spending an evaluation (statically
         # dead candidates evaluate to None anyway, so this only trims the

@@ -479,6 +479,45 @@ def rotate_cells(rot, cells):
     return (rx << 32) | (ry << 16) | rz
 
 
+#: Rotation matrices by code as flat row-major rows (row 0, "no
+#: rotation", is the identity), and the code of each code's inverse — the
+#: gather tables of :func:`rotate_cells_by_code`.
+_ROT_ROWS = (
+    np.array(
+        [(1, 0, 0, 0, 1, 0, 0, 0, 1)]
+        + [sum(rot.matrix, ()) for rot in _ROTS_CANONICAL],
+        dtype=np.int64,
+    )
+    if np is not None
+    else None
+)
+INVERSE_CODE = (
+    np.array(
+        [0] + [ROT_CODE[rot.inverse().matrix] for rot in _ROTS_CANONICAL],
+        dtype=np.int64,
+    )
+    if np is not None
+    else None
+)
+
+
+def rotate_cells_by_code(codes, cells):
+    """Rotate each packed cell of an int64 array by its own rotation code
+    (one gather of the matrix rows, no per-code loop)."""
+    m = _ROT_ROWS[codes]
+    x = ((cells >> 32) & _CELL_MASK) - _CELL_OFF
+    y = ((cells >> 16) & _CELL_MASK) - _CELL_OFF
+    z = (cells & _CELL_MASK) - _CELL_OFF
+    rx = m[:, 0] * x + m[:, 1] * y + m[:, 2] * z + _CELL_OFF
+    ry = m[:, 3] * x + m[:, 4] * y + m[:, 5] * z + _CELL_OFF
+    rz = m[:, 6] * x + m[:, 7] * y + m[:, 8] * z + _CELL_OFF
+    return (rx << 32) | (ry << 16) | rz
+
+
+#: Sorted-array size up to which :func:`in_sorted` compares per target.
+_SCAN_MAX = 16
+
+
 def in_sorted(values, sorted_arr):
     """Vectorized membership of int64 ``values`` in a sorted int64 array.
 
@@ -489,6 +528,13 @@ def in_sorted(values, sorted_arr):
     n = len(sorted_arr)
     if n == 0:
         return np.zeros(np.shape(values), dtype=bool)
+    if n <= _SCAN_MAX:
+        # A handful of targets (one new cell, a few dirty nodes): a
+        # compare per target beats a binary search per value.
+        hit = values == sorted_arr[0]
+        for target in sorted_arr[1:].tolist():
+            hit |= values == target
+        return hit
     pos = sorted_arr.searchsorted(values)
     np.minimum(pos, n - 1, out=pos)
     return sorted_arr[pos] == values

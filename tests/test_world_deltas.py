@@ -21,6 +21,13 @@ mutation:
   every mutation, and the columnar and pure-Python fallback caches
   serve identical effective sets.
 
+The harness runs two protocols: gluing (every pair of nodes bonds, so
+every split re-seeds placements) and two-state sticky repair (``s``
+bonds ``f``; ``s``–``s`` and ``f``–``f`` are inert, so splits of all-``s``
+structure skip re-seeding on the state gate), the latter both as an exact
+rule protocol and lowered from a handler — one run per branch of the
+cache's static gates.
+
 This is the chaos-testing layer the fault/repair dynamics of the paper
 lean on: every bond deletion and node excision must keep the cache exact.
 """
@@ -37,12 +44,16 @@ from repro.core.candidates import (
     hot_effective_candidates,
     reference_effective_candidates,
 )
-from repro.core.protocol import Rule, RuleProtocol
+from repro.core.protocol import AgentProtocol, Rule, RuleProtocol
 from repro.core.scheduler import evaluate, make_scheduler
 from repro.core.simulator import Simulation
 from repro.core.world import World
 from repro.errors import ReproError
-from repro.faults.injection import break_random_bond, excise_random_node
+from repro.faults.injection import (
+    break_bond,
+    break_random_bond,
+    excise_random_node,
+)
 from repro.faults.repair import detach_component_part
 from repro.core import columnar
 from repro.geometry.ports import PORTS_2D, PORTS_3D, opposite
@@ -65,6 +76,49 @@ def gluing_protocol(dimension: int = 2) -> RuleProtocol:
     return RuleProtocol(
         rules, initial_state="g", name="gluing", dimension=dimension
     )
+
+
+def sticky_protocol(dimension: int = 2) -> RuleProtocol:
+    """Two-state sticky repair: ``s`` bonds ``f`` (which turns ``s``)."""
+    ports = PORTS_2D if dimension == 2 else PORTS_3D
+    rules = [Rule("s", p, "f", opposite(p), 0, "s", "s", 1) for p in ports]
+    return RuleProtocol(
+        rules, initial_state="f", name="sticky", dimension=dimension
+    )
+
+
+def sticky_handler_protocol(dimension: int = 2) -> AgentProtocol:
+    """The same sticky repair as a handler, lowered through ``MemoProgram``
+    (not exact), with a ``pair_compatible`` hint that rules out the inert
+    ``s``–``s`` and ``f``–``f`` pairs."""
+
+    def handler(view):
+        if (
+            view.bond == 0
+            and view.port2 == opposite(view.port1)
+            and {view.state1, view.state2} == {"s", "f"}
+        ):
+            return ("s", "s", 1)
+        return None
+
+    return AgentProtocol(
+        handler,
+        initial_state="f",
+        compatible=lambda s1, s2: {s1, s2} == {"s", "f"},
+        dimension=dimension,
+        name="sticky-handler",
+    )
+
+
+#: Harness protocols: factory, the states mutations write (the first one
+#: also seeds added free nodes), and the initial free-node states, cycled.
+GLUING = (gluing_protocol, ("g", "dead"), ("g",))
+STICKY_HARNESSES = (
+    pytest.param((sticky_protocol, ("f", "s"), ("s", "f", "f")), id="exact"),
+    pytest.param(
+        (sticky_handler_protocol, ("f", "s"), ("s", "f", "f")), id="handler"
+    ),
+)
 
 
 class JournalObserver:
@@ -116,8 +170,12 @@ class JournalObserver:
         self.change_cursor = new_change
 
 
-def apply_random_mutation(world, sim, rng) -> str:
-    """One randomly chosen world mutation; returns what was done."""
+def apply_random_mutation(world, sim, rng, states=("g", "dead")) -> str:
+    """One randomly chosen world mutation; returns what was done.
+
+    ``states`` are the states excisions and writes draw from; the first
+    one seeds added free nodes.
+    """
     r = rng.random()
     if r < 0.22:
         if break_random_bond(world, rng) is not None:
@@ -125,7 +183,7 @@ def apply_random_mutation(world, sim, rng) -> str:
             return "break"
         return "noop"
     if r < 0.38:
-        nid = excise_random_node(world, rng, rng.choice(["g", "dead"]))
+        nid = excise_random_node(world, rng, rng.choice(states))
         if nid is not None:
             sim.stabilized = False
             return "excise"
@@ -146,11 +204,11 @@ def apply_random_mutation(world, sim, rng) -> str:
     if r < 0.58:
         nids = sorted(world.nodes)
         nid = nids[rng.randrange(len(nids))]
-        world.set_state(nid, rng.choice(["g", "dead"]))
+        world.set_state(nid, rng.choice(states))
         sim.stabilized = False
         return "write"
     if r < 0.64:
-        world.add_free_node("g")
+        world.add_free_node(states[0])
         sim.stabilized = False
         return "add"
     if r < 0.72 and world.dimension == 2:
@@ -181,8 +239,12 @@ def assert_cache_in_sync(cache, world, protocol, fallback=None):
     assert got == want
     if fallback is not None:
         # The pure-Python fallback cache walks the same journals and
-        # must land on the identical canonical list.
+        # must land on the identical canonical list — through the same
+        # delta decisions, so the same nodes regenerate and the same
+        # candidates are evaluated.
         assert fallback.refresh(world, protocol, evaluate) == got
+        assert fallback.refreshed_nodes == cache.refreshed_nodes
+        assert fallback.evaluations == cache.evaluations
     if HAVE_NUMPY:
         # The flat columns, synced purely from the journals, must
         # equal the dict world cell for cell after every mutation.
@@ -197,18 +259,12 @@ class TestRandomizedMutationStress:
     def _assert_in_sync(self, cache, world, protocol, fallback=None):
         assert_cache_in_sync(cache, world, protocol, fallback)
 
-    @pytest.mark.parametrize("kind,kwargs", SCHEDULER_KINDS)
-    @given(
-        n=st.integers(min_value=3, max_value=9),
-        seed=st.integers(min_value=0, max_value=10_000),
-        dimension=st.sampled_from((2, 3)),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_interleaved_mutations(self, kind, kwargs, n, seed, dimension):
-        protocol = gluing_protocol(dimension)
+    def _interleaved(self, harness, kind, kwargs, n, seed, dimension):
+        make, states, initial = harness
+        protocol = make(dimension)
         world = World(dimension)
-        for _ in range(n):
-            world.add_free_node("g")
+        for i in range(n):
+            world.add_free_node(initial[i % len(initial)])
         rng = random.Random(seed)
         sim = Simulation(
             world,
@@ -221,10 +277,65 @@ class TestRandomizedMutationStress:
         observer = JournalObserver(world)
         self._assert_in_sync(cache, world, protocol, fallback)
         for _ in range(30):
-            apply_random_mutation(world, sim, rng)
+            apply_random_mutation(world, sim, rng, states)
             world.check_invariants()
             observer.check()
             self._assert_in_sync(cache, world, protocol, fallback)
+
+    def _batched_gaps(self, harness, seed, gap, dimension):
+        # Several mutations may land between two refreshes; the fine delta
+        # path and the coarse sweep must both stay exact through chained,
+        # interleaved records (merge-then-split of the same component,
+        # fragments merging away within the gap, partners in flux).
+        make, states, initial = harness
+        protocol = make(dimension)
+        world = World(dimension)
+        for i in range(8):
+            world.add_free_node(initial[i % len(initial)])
+        rng = random.Random(seed)
+        sim = Simulation(world, protocol, seed=seed)
+        fine = EffectiveCandidateCache(split_delta=True)
+        coarse = EffectiveCandidateCache(split_delta=False)
+        fallback = EffectiveCandidateCache(columnar=False) if HAVE_NUMPY else None
+        for _ in range(12):
+            for _ in range(gap):
+                apply_random_mutation(world, sim, rng, states)
+            got_fine = fine.refresh(world, protocol, evaluate)
+            got_coarse = coarse.refresh(world, protocol, evaluate)
+            want, _perm = reference_effective_candidates(
+                world, protocol, evaluate
+            )
+            assert got_fine == want
+            assert got_coarse == want
+            if fallback is not None:
+                # Multi-record gaps (partners in flux mid-replay): the
+                # dense and scalar stores make the same delta decisions.
+                assert fallback.refresh(world, protocol, evaluate) == want
+                assert fallback.refreshed_nodes == fine.refreshed_nodes
+                assert fallback.evaluations == fine.evaluations
+
+    @pytest.mark.parametrize("kind,kwargs", SCHEDULER_KINDS)
+    @given(
+        n=st.integers(min_value=3, max_value=9),
+        seed=st.integers(min_value=0, max_value=10_000),
+        dimension=st.sampled_from((2, 3)),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_interleaved_mutations(self, kind, kwargs, n, seed, dimension):
+        self._interleaved(GLUING, kind, kwargs, n, seed, dimension)
+
+    @pytest.mark.parametrize("harness", STICKY_HARNESSES)
+    @pytest.mark.parametrize("kind,kwargs", SCHEDULER_KINDS)
+    @given(
+        n=st.integers(min_value=3, max_value=9),
+        seed=st.integers(min_value=0, max_value=10_000),
+        dimension=st.sampled_from((2, 3)),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_interleaved_mutations_sticky(
+        self, harness, kind, kwargs, n, seed, dimension
+    ):
+        self._interleaved(harness, kind, kwargs, n, seed, dimension)
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -233,28 +344,19 @@ class TestRandomizedMutationStress:
     )
     @settings(max_examples=10, deadline=None)
     def test_batched_gaps_fine_equals_coarse(self, seed, gap, dimension):
-        # Several mutations may land between two refreshes; the fine delta
-        # path and the coarse sweep must both stay exact through chained,
-        # interleaved records (merge-then-split of the same component,
-        # fragments merging away within the gap, partners in flux).
-        protocol = gluing_protocol(dimension)
-        world = World(dimension)
-        for _ in range(8):
-            world.add_free_node("g")
-        rng = random.Random(seed)
-        sim = Simulation(world, protocol, seed=seed)
-        fine = EffectiveCandidateCache(split_delta=True)
-        coarse = EffectiveCandidateCache(split_delta=False)
-        for _ in range(12):
-            for _ in range(gap):
-                apply_random_mutation(world, sim, rng)
-            got_fine = fine.refresh(world, protocol, evaluate)
-            got_coarse = coarse.refresh(world, protocol, evaluate)
-            want, _perm = reference_effective_candidates(
-                world, protocol, evaluate
-            )
-            assert got_fine == want
-            assert got_coarse == want
+        self._batched_gaps(GLUING, seed, gap, dimension)
+
+    @pytest.mark.parametrize("harness", STICKY_HARNESSES)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        gap=st.integers(min_value=2, max_value=5),
+        dimension=st.sampled_from((2, 3)),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_batched_gaps_fine_equals_coarse_sticky(
+        self, harness, seed, gap, dimension
+    ):
+        self._batched_gaps(harness, seed, gap, dimension)
 
 
 class TestSnapshotRestoreMutation:
@@ -476,3 +578,194 @@ class TestFinePathEffectiveness:
         # duality, observable through object identity.
         surviving = [c for c, _u in got if id(c) in before]
         assert surviving
+
+
+COLUMNAR_LEGS = (
+    pytest.param(
+        True,
+        id="dense",
+        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+    ),
+    pytest.param(False, id="scalar"),
+)
+
+
+def _spy(monkeypatch, name, calls):
+    """Record every entry into one cache method, then run it."""
+    original = getattr(EffectiveCandidateCache, name)
+
+    def spy(self, *args):
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(EffectiveCandidateCache, name, spy)
+
+
+class TestReseedStateGate:
+    """A split re-seeds only partners that some rule can bond to the
+    shrunk component; the per-candidate gates then decide the same rows.
+
+    World: a 2-cell partner ``A`` (cid 0, it hosts the plate), a 3x3 plate
+    (cid 1) and an L-shaped partner ``B`` (cid 2, placed into the plate's
+    frame). Excising the plate's top-right corner frees exactly one
+    placement of ``B`` — its corner on the vacated cell, its foot facing
+    the plate's bottom-right node, which is not on the cut frontier — so
+    only re-seeding can discover it.
+    """
+
+    def _world(self, protocol, state):
+        world = World(2)
+        world.add_component_from_cells({Vec(0, 0): state, Vec(1, 0): state})
+        plate = world.add_component_from_cells(
+            {Vec(x, y): state for x in range(3) for y in range(3)}
+        )
+        world.add_component_from_cells(
+            {
+                Vec(0, 2): state,
+                Vec(1, 2): state,
+                Vec(1, 1): state,
+                Vec(1, 0): state,
+            }
+        )
+        world.adopt_space(protocol.program.space)
+        return world, plate
+
+    def _split(self, monkeypatch, protocol, state, columnar):
+        world, plate = self._world(protocol, state)
+        if state == "s":
+            world.add_free_node("f")  # keeps an effective pair in play
+        entered = []
+        for name in ("_reseed_as_host", "_reseed_as_guest"):
+            _spy(monkeypatch, name, entered)
+        added = []
+        original = EffectiveCandidateCache._insert_reseeded
+
+        def counting(self, *args):
+            before = len(self._pending_rows) + len(self._entries)
+            original(self, *args)
+            after = len(self._pending_rows) + len(self._entries)
+            added.append(after - before)
+
+        monkeypatch.setattr(
+            EffectiveCandidateCache, "_insert_reseeded", counting
+        )
+        cache = EffectiveCandidateCache(columnar=columnar)
+        cache.refresh(world, protocol, evaluate)
+        prunes = cache.split_prunes
+        world.free_singleton(plate[Vec(2, 2)], state)
+        got = cache.refresh(world, protocol, evaluate)
+        want, _perm = reference_effective_candidates(world, protocol, evaluate)
+        assert got == want
+        assert cache.split_prunes == prunes + 1
+        return entered, sum(added)
+
+    @pytest.mark.parametrize("columnar", COLUMNAR_LEGS)
+    @pytest.mark.parametrize(
+        "make",
+        (sticky_protocol, sticky_handler_protocol),
+        ids=("exact", "handler"),
+    )
+    def test_all_s_split_skips_reseed(self, monkeypatch, make, columnar):
+        entered, reseeded = self._split(monkeypatch, make(), "s", columnar)
+        assert entered == []
+        assert reseeded == 0
+
+    @pytest.mark.parametrize("columnar", COLUMNAR_LEGS)
+    def test_gluing_split_still_reseeds(self, monkeypatch, columnar):
+        entered, reseeded = self._split(
+            monkeypatch, gluing_protocol(), "g", columnar
+        )
+        assert "_reseed_as_host" in entered
+        assert "_reseed_as_guest" in entered
+        assert reseeded >= 1  # B's foot placement, found by re-seeding alone
+
+
+class TestMergePruneLandingCells:
+    """The dense merge prune decides singleton partners by landing cell;
+    fine path == reference on the cases that rule must get right."""
+
+    def _world(self, protocol):
+        """A 2-cell line off the origin (cid 0), a 2-cell pair ``J``
+        (cid 1), a 2x2 plate (cid 2) and a spare (cid 3). Breaking the
+        line's bond leaves two singletons on non-origin cells: the kept
+        one (cid 0) hosts the plate and ``J``, the fragment (cid 4) is
+        placed into them — both orientations of the landing-cell rule.
+        """
+        world = World(2)
+        line = world.add_component_from_cells(
+            {Vec(1, 0): "g", Vec(2, 0): "g"}
+        )
+        j = set(
+            world.add_component_from_cells(
+                {Vec(0, 0): "g", Vec(0, 1): "g"}
+            ).values()
+        )
+        plate = world.add_component_from_cells(
+            {Vec(x, y): "g" for x in range(2) for y in range(2)}
+        )
+        spare = world.add_free_node("g")
+        world.adopt_space(protocol.program.space)
+        (bond,) = world.component_of(line[Vec(1, 0)]).bonds
+        break_bond(world, bond)
+        for nid in line.values():
+            assert world.is_free(nid)
+            assert world.nodes[nid].pos != Vec(0, 0)
+        return world, j, set(plate.values()), spare
+
+    @staticmethod
+    def _bond(world, protocol, nid1s, nids2, pick=0):
+        """Apply the ``pick``-th effective bonding (canonical order) of a
+        node of ``nid1s`` with one of ``nids2``; ``False`` if none is left."""
+        want, _perm = reference_effective_candidates(world, protocol, evaluate)
+        bondings = [
+            (c, u) for c, u in want if c.nid1 in nid1s and c.nid2 in nids2
+        ]
+        if pick >= len(bondings):
+            return False
+        world.apply(*bondings[pick])
+        return True
+
+    def _check(self, world, protocol, cache, coarse):
+        want, _perm = reference_effective_candidates(world, protocol, evaluate)
+        assert cache.refresh(world, protocol, evaluate) == want
+        assert coarse.refresh(world, protocol, evaluate) == want
+
+    @pytest.mark.parametrize("columnar", COLUMNAR_LEGS)
+    def test_singleton_partner_off_origin(self, columnar):
+        protocol = gluing_protocol()
+        world, _j, plate, spare = self._world(protocol)
+        cache = EffectiveCandidateCache(columnar=columnar)
+        coarse = EffectiveCandidateCache(split_delta=False, columnar=columnar)
+        self._check(world, protocol, cache, coarse)
+        merges = cache.merge_prunes
+        # The spare lands on a plate slot that both off-origin singletons
+        # also had placements on.
+        assert self._bond(world, protocol, {min(plate)}, {spare})
+        self._check(world, protocol, cache, coarse)
+        assert cache.merge_prunes == merges + 1
+
+    @pytest.mark.parametrize("columnar", COLUMNAR_LEGS)
+    def test_second_merge_absorbs_first_kept_component(self, columnar):
+        # One refresh gap: the plate absorbs the spare, then J absorbs the
+        # plate, through each of J's effective bondings in turn. The first
+        # record's kept component is gone by replay time (the coarse sweep
+        # re-examines its nodes); the second is pruned finely: the rows of
+        # J's node that did not bond, with both off-origin singletons, are
+        # decided by landing cell against the new cells in J's frame.
+        protocol = gluing_protocol()
+        pick = 0
+        while True:
+            world, j, plate, spare = self._world(protocol)
+            cache = EffectiveCandidateCache(columnar=columnar)
+            coarse = EffectiveCandidateCache(
+                split_delta=False, columnar=columnar
+            )
+            self._check(world, protocol, cache, coarse)
+            merges = cache.merge_prunes
+            assert self._bond(world, protocol, {min(plate)}, {spare})
+            if not self._bond(world, protocol, j, plate | {spare}, pick):
+                break
+            self._check(world, protocol, cache, coarse)
+            assert cache.merge_prunes == merges + 1
+            pick += 1
+        assert pick >= 8
